@@ -10,7 +10,11 @@ forward pass with an instrumented matmul kernel and must agree exactly.
 Connectivity propagates boolean token-influence masks through the block
 sequence on a fixed token grid, using each aggregator's intra-window pattern
 (axial cross for the linear/MLP family, full window for attention) and the
-exact communication permutations. Stage transitions are treated as
+exact communication permutations, traced through the model's own geometry
+ops. The masks live on the window grid, so a block costs ``any``
+reductions over the window axes, O(N * M) boolean work for N tokens and M
+sources, rather than a dense (N, N) product; the 56x56 stage-0 grid of a
+224 px image is feasible. Stage transitions are treated as
 influence-preserving so the analysis isolates the mixing/communication
 mechanism itself.
 """
@@ -275,24 +279,6 @@ def _perm_from_featuremap_op(hp: int, wp: int, op) -> np.ndarray:
     return moved.values.data.reshape(-1).astype(np.int64)
 
 
-def _window_ids(hp: int, wp: int, ws: int) -> np.ndarray:
-    rows, cols = np.divmod(np.arange(hp * wp), wp)
-    return (rows // ws) * (wp // ws) + (cols // ws)
-
-
-def _intra_window_pattern(hp: int, wp: int, ws: int, aggregator: str) -> np.ndarray:
-    """(N, N) bool: token i draws from token j inside its window."""
-    n = hp * wp
-    rows, cols = np.divmod(np.arange(n), wp)
-    wid = _window_ids(hp, wp, ws)
-    same_window = wid[:, None] == wid[None, :]
-    if aggregator == "MHSA":
-        return same_window
-    same_row = rows[:, None] == rows[None, :]
-    same_col = cols[:, None] == cols[None, :]
-    return same_window & (same_row | same_col)
-
-
 def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityReport:
     """Propagate boolean token influence through every block at a fixed grid.
 
@@ -300,6 +286,13 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     excluded from the report (as the model crops them). Influence spreads via
     the aggregator's intra-window pattern, the residual path, and the exact
     comm permutations; per-token ops (norms, FFN) preserve it.
+
+    The influence array (tokens, sources) is viewed as (window row, row in
+    window, window col, col in window, sources), so each block is a handful
+    of ``any`` reductions and broadcasts: O(blocks * N * M) boolean work for
+    N padded tokens and M real ones, never an (N, N) pattern. The 56x56
+    stage-0 grid of a 224 px image is feasible; there each (M, M) mask holds
+    about 10 MB, so a report for the 32-block tiny presets is about 315 MB.
 
     Limit: the grid never shrinks and stage transitions are treated as
     influence-preserving, so the report cannot tell whether a model joins
@@ -309,56 +302,56 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     pixels, compare the other region's features) settles such a question.
     """
     validate_config(cfg)
+    if grid_h < 1 or grid_w < 1:
+        raise ValueError(f"grid must be positive, got {grid_h}x{grid_w}")
     ws = cfg.window
     hp, wp = _ceil_to(grid_h, ws), _ceil_to(grid_w, ws)
-    n = hp * wp
-    real = (np.arange(n) // wp < grid_h) & (np.arange(n) % wp < grid_w)
-    real_idx = np.flatnonzero(real)
-
-    r = np.zeros((n, real_idx.size), dtype=bool)
-    r[real_idx, np.arange(real_idx.size)] = True
-
-    pattern = _intra_window_pattern(hp, wp, ws, cfg.aggregator).astype(np.uint8)
-    wid = _window_ids(hp, wp, ws)
-    num_win = (hp // ws) * (wp // ws)
-    win_rows = np.zeros((num_win, n), dtype=np.uint8)
-    win_rows[wid, np.arange(n)] = 1
-
-    shift = ws // 2
-    perm_shift = _perm_from_featuremap_op(hp, wp, lambda f: geo.cyclic_shift(f, -shift, -shift))
-    perm_shuffle = _perm_from_featuremap_op(hp, wp, lambda f: geo.spatial_shuffle(f, ws))
-
     gh, gw = hp // ws, wp // ws
+    n = hp * wp
+    real_idx = np.flatnonzero((np.arange(n) // wp < grid_h) & (np.arange(n) % wp < grid_w))
+    m = real_idx.size
+
+    r = np.zeros((n, m), dtype=bool)
+    r[real_idx, np.arange(m)] = True
+
+    perm = None
+    if cfg.comm == "Shift":
+        perm = _perm_from_featuremap_op(
+            hp, wp, lambda f: geo.cyclic_shift(f, -(ws // 2), -(ws // 2)))
+    elif cfg.comm == "Shuffle":
+        perm = _perm_from_featuremap_op(hp, wp, lambda f: geo.spatial_shuffle(f, ws))
+    inv = None if perm is None else np.argsort(perm)
+
     report = ConnectivityReport(grid=(grid_h, grid_w))
     block_no = 0
     for s in range(4):
         msg: np.ndarray | None = None
-        r_eff = 1
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            msg = np.zeros((num_win, real_idx.size), dtype=bool)
-            r_eff = choose_messenger_region(gh, gw, stage_channels(cfg, s),
-                                            cfg.messenger_region)
+            msg = np.zeros((gh * gw, m), dtype=bool)
+            region = choose_messenger_region(gh, gw, stage_channels(cfg, s),
+                                             cfg.messenger_region)
         for i in range(cfg.depths[s]):
             block_no += 1
             active = comm_active(cfg, i)
-            perm = None
-            if active and cfg.comm == "Shift":
-                perm = perm_shift
-            elif active and cfg.comm == "Shuffle":
-                perm = perm_shuffle
-            if perm is not None:
+            moved = active and perm is not None
+            if moved:
                 r = r[perm]
-            if active and cfg.comm == "MSG" and msg is not None:
-                msg = msg | (win_rows @ r.astype(np.uint8) > 0)
-                msg = _region_union(msg, gh, gw, r_eff)
-                r = r | msg[wid]
-            r = r | (pattern @ r.astype(np.uint8) > 0)
-            if perm is not None:
-                inv = np.empty_like(perm)
-                inv[perm] = np.arange(n)
+            v = r.reshape(gh, ws, gw, ws, m)
+            if active and msg is not None:
+                msg = _region_union(msg | v.any(axis=(1, 3)).reshape(gh * gw, m),
+                                    gh, gw, region)
+                v = v | msg.reshape(gh, 1, gw, 1, m)
+            if cfg.aggregator == "MHSA":
+                v = np.broadcast_to(v.any(axis=(1, 3), keepdims=True), v.shape)
+            else:
+                # axial cross; every token lies on its own row, so the
+                # residual path is already covered
+                v = v.any(axis=1, keepdims=True) | v.any(axis=3, keepdims=True)
+            r = v.reshape(n, m)
+            if moved:
                 r = r[inv]
             snapshot = r[real_idx]
-            report.layers.append(snapshot.copy())
+            report.layers.append(snapshot)
             report.labels.append(f"stage{s}.block{i}")
             if report.first_full is None and snapshot.all():
                 report.first_full = block_no

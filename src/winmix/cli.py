@@ -61,7 +61,6 @@ def _emit(report, table: bool) -> None:
 
 
 def _load_any_model(ckpt: str):
-    blob_model, extra = None, None
     try:
         state = load_state(ckpt)
         return state.model

@@ -135,7 +135,15 @@ def _adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> N
 
 def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> tuple[float, float]:
-    """Top-1 accuracy and mean cross-entropy over a dataset split."""
+    """Top-1 accuracy and mean cross-entropy over a dataset split.
+
+    Raises ValueError when a label lies outside [0, classes).
+    """
+    labels = np.asarray(labels)
+    classes = model.config.classes
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValueError(f"label {int(bad[0])} out of range for {classes} classes")
     n = images.shape[0]
     correct = 0
     losses = np.empty(n, dtype=np.float64)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from winmix import analytics as AN
+from winmix import geometry as geo
 from winmix import model as M
 from winmix import tensor as T
 from winmix.analytics import (
@@ -20,6 +21,66 @@ from winmix.tensor import Tensor
 
 DESK = preset("toy-desk")
 TINY8 = ModelConfig(width=8, depths=(1, 1, 1, 1), window=2, classes=4, groups=4)
+
+
+def dense_connectivity(cfg: ModelConfig, grid_h: int, grid_w: int):
+    """Reference propagation with dense (N, N) token patterns.
+
+    Token i draws from token j when both lie in one window (MHSA) or on one
+    row or column of one window (axial aggregators); messengers pool each
+    window through a (windows, N) membership matrix. Returns the per-block
+    masks and the 1-based first full block, as ``connectivity`` reports them.
+    """
+    ws = cfg.window
+    hp, wp = -(-grid_h // ws) * ws, -(-grid_w // ws) * ws
+    gh, gw = hp // ws, wp // ws
+    n = hp * wp
+    rows, cols = np.divmod(np.arange(n), wp)
+    wid = (rows // ws) * gw + cols // ws
+    real_idx = np.flatnonzero((rows < grid_h) & (cols < grid_w))
+    r = np.zeros((n, real_idx.size), dtype=bool)
+    r[real_idx, np.arange(real_idx.size)] = True
+
+    pattern = wid[:, None] == wid[None, :]
+    if cfg.aggregator != "MHSA":
+        pattern &= (rows[:, None] == rows[None, :]) | (cols[:, None] == cols[None, :])
+    pattern = pattern.astype(np.uint8)
+    win_rows = np.zeros((gh * gw, n), dtype=np.uint8)
+    win_rows[wid, np.arange(n)] = 1
+
+    shift = ws // 2
+    perms = {
+        "Shift": AN._perm_from_featuremap_op(
+            hp, wp, lambda f: geo.cyclic_shift(f, -shift, -shift)),
+        "Shuffle": AN._perm_from_featuremap_op(
+            hp, wp, lambda f: geo.spatial_shuffle(f, ws)),
+    }
+    layers, first_full, block_no = [], None, 0
+    for s in range(4):
+        msg = None
+        if cfg.comm == "MSG" and M.stage_has_comm(cfg, s):
+            msg = np.zeros((gh * gw, real_idx.size), dtype=bool)
+            region = M.choose_messenger_region(gh, gw, M.stage_channels(cfg, s),
+                                               cfg.messenger_region)
+        for i in range(cfg.depths[s]):
+            block_no += 1
+            active = M.comm_active(cfg, i)
+            perm = perms.get(cfg.comm) if active else None
+            if perm is not None:
+                r = r[perm]
+            if active and msg is not None:
+                msg = msg | (win_rows @ r.astype(np.uint8) > 0)
+                msg = AN._region_union(msg, gh, gw, region)
+                r = r | msg[wid]
+            r = r | (pattern @ r.astype(np.uint8) > 0)
+            if perm is not None:
+                inv = np.empty_like(perm)
+                inv[perm] = np.arange(n)
+                r = r[inv]
+            layers.append(r[real_idx])
+            if first_full is None and layers[-1].all():
+                first_full = block_no
+    return layers, first_full
 
 
 def random_config(rng) -> ModelConfig:
@@ -129,6 +190,50 @@ class TestFlopsOracle:
 
 
 class TestConnectivity:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_matches_dense_oracle(self, seed):
+        # every (aggregator, comm) pair three times, on non-square grids that
+        # mostly need padding; MSG grids tile into its 1-3 messenger regions
+        # (width 36 is divisible by 2*2 and 3*3, so no region falls back)
+        rng = np.random.default_rng(seed)
+        comm = ("Shift", "Shuffle", "MSG", "None")[seed // 4 % 4]
+        region = int(rng.integers(1, 4))
+        ws = int(rng.choice([2, 3, 4] if comm == "MSG" else [2, 3, 4, 7]))
+        cfg = ModelConfig(
+            width=36,
+            depths=tuple(int(d) for d in rng.integers(1, 4, size=4)),
+            window=ws,
+            aggregator=("Linear", "DWLinear", "MLP", "MHSA")[seed % 4],
+            comm=comm,
+            classes=2,
+            groups=4,
+            messenger_region=region,
+        )
+        windows = region * rng.integers(1, 3, size=2) if comm == "MSG" \
+            else rng.integers(1, 4, size=2)
+        pads = rng.integers(0, ws, size=2)
+        if windows[0] == windows[1] and pads[0] == pads[1]:
+            pads[1] = (pads[0] + 1) % ws
+        grid_h, grid_w = (int(g) for g in windows * ws - pads)
+        rep = connectivity(cfg, grid_h, grid_w)
+        layers, first_full = dense_connectivity(cfg, grid_h, grid_w)
+        assert rep.first_full == first_full, (cfg, grid_h, grid_w)
+        assert len(rep.layers) == len(layers)
+        for got, want in zip(rep.layers, layers):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("comm, frozen", [("Shift", 16), ("Shuffle", 6)])
+    def test_paper_scale_stage0_grid(self, comm, frozen):
+        # the 56x56 token grid of a 224 px image; one report holds 32 masks
+        # of 3136x3136 bools (about 315 MB), so only one is alive at a time
+        cfg = dataclasses.replace(preset("swin-linmapper-tiny"), comm=comm)
+        assert connectivity(cfg, 56, 56).first_full == frozen
+
+    @pytest.mark.parametrize("grid", [(0, 0), (0, 4), (4, 0), (-3, -3)])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be positive"):
+            connectivity(TINY8, *grid)
+
     def test_none_caps_at_window_diagonal(self):
         rep = connectivity(dataclasses.replace(preset("swin-linmapper-tiny"),
                                                comm="None"), 14, 14)

@@ -66,6 +66,13 @@ class TestConnectivity:
         blob = json.loads(out)
         assert blob["first_full"] is not None
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_empty_grid_exits_1(self, capsys, grid):
+        code, out, err = run_cli(capsys, "connectivity", "toy-desk", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: grid must be positive")
+
     def test_pgm_dump(self, capsys, tmp_path):
         out_dir = tmp_path / "pgms"
         code, _, _ = run_cli(capsys, "connectivity", "toy-desk", "--grid", "8",
@@ -134,6 +141,18 @@ class TestTrainEvalBench:
                                "--data", str(tmp_path / "train.wdat"),
                                "--val-data", str(tmp_path / "val.wdat"))
         assert code == 0
+
+    def test_label_beyond_model_classes_exits_1(self, capsys, tmp_path):
+        # a 10-class dataset against the 4-class toy-desk model
+        ds = gen_dataset(DatasetSpec(n_train=20, n_val=40, size=16, classes=10))
+        ds.save_wdat(tmp_path / "train.wdat", tmp_path / "val.wdat")
+        save_model(tmp_path / "m.wmix", build_model(preset("toy-desk"), seed=0))
+        code, out, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "m.wmix"),
+                                 "--data", str(tmp_path / "train.wdat"),
+                                 "--val-data", str(tmp_path / "val.wdat"))
+        assert code == 1
+        assert out == ""
+        assert "out of range for 4 classes" in err
 
     def test_wdat_without_val_is_validation_error(self, capsys, tmp_path):
         ds = gen_dataset(DatasetSpec(n_train=16, n_val=8, size=16))

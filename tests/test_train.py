@@ -119,6 +119,14 @@ class TestEvaluate:
         assert abs(acc - 0.25) < 0.03
         assert loss == pytest.approx(np.log(4), rel=0.2)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_out_of_range_label_rejected(self, bad):
+        # a negative label would silently index the last class's log-prob
+        images = np.zeros((3, 8, 8, 3), dtype=np.float32)
+        model = build_model(CFG, seed=0)
+        with pytest.raises(ValueError, match=f"label {bad} out of range for 4 classes"):
+            evaluate(model, images, [0, 1, bad])
+
     def test_batch_size_invariance(self, small_data):
         model = build_model(CFG, seed=2)
         accs, losses = zip(*[
