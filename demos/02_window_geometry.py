@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Window partition, cyclic shift, spatial shuffle, and messenger routing.
+"""Window partition, cyclic shift, spatial shuffle, and messenger exchange.
 
 All of these are pure permutations of the token grid: invertible, value
 preserving, parameter-free. They are shown here on a small labeled grid so
@@ -13,8 +13,6 @@ from winmix import (
     MessengerState,
     Tensor,
     cyclic_shift,
-    messenger_attach,
-    messenger_detach,
     messenger_exchange,
     spatial_shuffle,
     window_partition,
@@ -44,19 +42,12 @@ show("spatial shuffle (ws=2)", shuffled)
 print("first shuffled window:",
       window_partition(shuffled, 2).windows.numpy()[0, :, 0].astype(int))
 
-# --- messenger tokens: attach, exchange across a region, detach ------------
+# --- messenger tokens: exchange channel slices across a window region -----
 c = 4
 tokens = np.zeros((4, 1, c))
 for win in range(4):
     tokens[win] = 10 + win            # tag each window's messenger
 state = MessengerState(tokens=Tensor(tokens), batch=1, win_h=2, win_w=2, region=2)
-
-x8 = FeatureMap(Tensor(np.zeros((1, 4, 4, c))))
-wset8 = window_partition(x8, 2)
-bundle = messenger_attach(wset8, state)
-print("attached bundle shape (ws*ws + m tokens):", bundle.shape)
-toks, msgs = messenger_detach(bundle, 2)
-assert (msgs.numpy() == tokens).all()
 
 after = messenger_exchange(state)
 print("window 0 messenger after exchange (one quarter-slice per window):")

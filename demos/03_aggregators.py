@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """The four intra-window aggregation layers, side by side.
 
-Each layer maps a batch of windows (tokens x channels) to the same shape;
-they differ in how tokens inside the window talk to each other. The grouped
-axial linear map touches only the row and column of each output token; the
+Each layer maps a batch of windows (tokens x channels) to the same shape.
+Linear, DWLinear and MLP are one axial pipeline (height map, width map,
+point-wise projection) with a different map; MHSA is window attention.
+``param_shapes`` lists each layer's parameters in init and checkpoint order.
+The axial map touches only the row and column of each output token; the
 attention layer touches the whole window.
 """
 
 import numpy as np
 
-from winmix import Tensor, init_aggregator
+from winmix import Tensor, init_aggregator, param_shapes
 from winmix.aggregators import aggregate
 
 ws, c = 7, 12
@@ -26,6 +28,8 @@ for kind, kwargs in [
     out = aggregate(kind, windows, params)
     n_params = sum(t.size for _, t in params.tensors())
     print(f"{kind:9s} out {out.shape}  params {n_params:6d}")
+    spec = param_shapes(kind, c, ws, **kwargs)
+    print("          " + ", ".join(f"{n}{list(s)}" for n, s in spec.items()))
 
 # --- influence pattern: perturb one token, watch which outputs move --------
 print("\ninfluence of token (2, 4) inside one window:")

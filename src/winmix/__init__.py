@@ -35,18 +35,12 @@ from .geometry import (
     cyclic_shift,
     spatial_shuffle,
     spatial_unshuffle,
-    messenger_attach,
-    messenger_detach,
     messenger_exchange,
 )
 from .aggregators import (
-    LinMapperParams,
-    DWLinMapperParams,
-    WindowMlpParams,
-    WindowMhsaParams,
-    linmapper_forward,
-    dw_linmapper_forward,
-    window_mlp_forward,
+    AggParams,
+    param_shapes,
+    axial_forward,
     window_mhsa_forward,
     init_aggregator,
 )

@@ -1,22 +1,30 @@
 """Intra-window content aggregation layers.
 
-Four interchangeable ways to mix the ws*ws tokens of a window:
+Four interchangeable ways to mix the ws*ws tokens of a window. Three of them
+are one axial pipeline:
 
-* grouped axial linear (``Linear``): channels split into groups of size gs;
-  one shared dense map mixes the (group-channels x heights) vector of each
-  width column, a second mixes (group-channels x widths) per height row, the
-  two branch outputs are added and passed through a point-wise projection;
-* ``DWLinear``: same wiring with separate axial weights per channel group;
-* ``MLP``: each axial map replaced by a two-layer perceptron with GELU;
-* ``MHSA``: multi-head self-attention with a learned relative position bias.
+    split the C channels into groups of gs
+    -> height map on each (gs*ws)-vector of a width column
+    -> width map on each (gs*ws)-vector of a height row
+    -> add the two branches -> point-wise C x C projection
 
-Axial inputs are (B, C, ws*ws) with tokens flattened row-major; attention
-inputs are token-major (B, ws*ws, C).
+and differ only in the map:
+
+* ``Linear``: one dense (gs*ws) x (gs*ws) matrix shared by all groups;
+* ``DWLinear``: a separate matrix per channel group;
+* ``MLP``: linear -> GELU -> linear with hidden width rho*gs*ws.
+
+The fourth, ``MHSA``, is multi-head self-attention with a learned relative
+position bias.
+
+``param_shapes`` is the one place where parameter names, shapes and order
+are written: ``init_aggregator``, the model's parameter lookup and the
+checkpoint records all follow it. Axial inputs are (B, C, ws*ws) with tokens
+flattened row-major; attention inputs, and ``aggregate``'s windows, are
+token-major (B, ws*ws, C).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -25,13 +33,9 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 __all__ = [
-    "LinMapperParams",
-    "DWLinMapperParams",
-    "WindowMlpParams",
-    "WindowMhsaParams",
-    "linmapper_forward",
-    "dw_linmapper_forward",
-    "window_mlp_forward",
+    "AggParams",
+    "param_shapes",
+    "axial_forward",
     "window_mhsa_forward",
     "init_aggregator",
     "aggregate",
@@ -41,88 +45,58 @@ __all__ = [
 AGGREGATOR_KINDS = ("Linear", "DWLinear", "MLP", "MHSA")
 
 
-@dataclass
-class LinMapperParams:
-    """Shared-weight grouped axial linear map, (gs*ws)^2 each axis, plus a
-    C x C point-wise projection."""
-
-    w_h: Tensor  # (gs*ws, gs*ws)
-    b_h: Tensor
-    w_w: Tensor
-    b_w: Tensor
-    w_p: Tensor  # (C, C)
-    b_p: Tensor
-    gs: int
-    ws: int
-
-    def tensors(self):
-        return [("w_h", self.w_h), ("b_h", self.b_h), ("w_w", self.w_w),
-                ("b_w", self.b_w), ("w_p", self.w_p), ("b_p", self.b_p)]
+def _check_kind(kind: str) -> None:
+    if kind not in AGGREGATOR_KINDS:
+        raise ValueError(f"unknown aggregator kind {kind!r}; expected one of {AGGREGATOR_KINDS}")
 
 
-@dataclass
-class DWLinMapperParams:
-    """Per-group axial weights: w_h/w_w are (groups, gs*ws, gs*ws)."""
+def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
+                 rho: int = 4) -> dict[str, tuple[int, ...]]:
+    """Ordered name -> shape of one aggregation layer's parameters.
 
-    w_h: Tensor
-    b_h: Tensor  # (groups, gs*ws)
-    w_w: Tensor
-    b_w: Tensor
-    w_p: Tensor
-    b_p: Tensor
-    gs: int
-    ws: int
-
-    def tensors(self):
-        return [("w_h", self.w_h), ("b_h", self.b_h), ("w_w", self.w_w),
-                ("b_w", self.b_w), ("w_p", self.w_p), ("b_p", self.b_p)]
-
-
-@dataclass
-class WindowMlpParams:
-    """Axial two-layer perceptrons (hidden = rho * gs*ws) with GELU."""
-
-    w1_h: Tensor
-    b1_h: Tensor
-    w2_h: Tensor
-    b2_h: Tensor
-    w1_w: Tensor
-    b1_w: Tensor
-    w2_w: Tensor
-    b2_w: Tensor
-    w_p: Tensor
-    b_p: Tensor
-    gs: int
-    ws: int
-    rho: int
-
-    def tensors(self):
-        return [("w1_h", self.w1_h), ("b1_h", self.b1_h), ("w2_h", self.w2_h),
-                ("b2_h", self.b2_h), ("w1_w", self.w1_w), ("b1_w", self.b1_w),
-                ("w2_w", self.w2_w), ("b2_w", self.b2_w),
-                ("w_p", self.w_p), ("b_p", self.b_p)]
+    The order is both the init draw order and the checkpoint record order.
+    Names starting with ``w`` are weights (truncated normal at init); the
+    rest, biases and ``rel_bias``, start at zero.
+    """
+    _check_kind(kind)
+    if kind == "MHSA":
+        if heads < 1 or c % heads:
+            raise ShapeError(f"channels {c} not divisible by heads {heads}")
+        shapes = {}
+        for t in "qkvo":
+            shapes |= {f"w_{t}": (c, c), f"b_{t}": (c,)}
+        return shapes | {"rel_bias": (heads, (2 * ws - 1) ** 2)}
+    g = _check_groups(c, gs)
+    k = gs * ws
+    shapes = {}
+    for axis in "hw":
+        if kind == "MLP":
+            shapes |= {f"w1_{axis}": (rho * k, k), f"b1_{axis}": (rho * k,),
+                       f"w2_{axis}": (k, rho * k), f"b2_{axis}": (k,)}
+        else:
+            lead = (g,) if kind == "DWLinear" else ()
+            shapes |= {f"w_{axis}": (*lead, k, k), f"b_{axis}": (*lead, k)}
+    return shapes | {"w_p": (c, c), "b_p": (c,)}
 
 
-@dataclass
-class WindowMhsaParams:
-    """Multi-head window attention with relative position bias."""
+class AggParams:
+    """Parameters of one aggregation layer.
 
-    w_q: Tensor
-    b_q: Tensor
-    w_k: Tensor
-    b_k: Tensor
-    w_v: Tensor
-    b_v: Tensor
-    w_o: Tensor
-    b_o: Tensor
-    rel_bias: Tensor  # (heads, (2ws-1)^2)
-    heads: int
-    ws: int
+    Holds the layer's ``kind`` and hyperparameters (``ws``, ``gs``,
+    ``heads``, ``rho``) plus one tensor attribute per ``param_shapes`` name.
+    """
 
-    def tensors(self):
-        return [("w_q", self.w_q), ("b_q", self.b_q), ("w_k", self.w_k),
-                ("b_k", self.b_k), ("w_v", self.w_v), ("b_v", self.b_v),
-                ("w_o", self.w_o), ("b_o", self.b_o), ("rel_bias", self.rel_bias)]
+    def __init__(self, kind: str, ws: int, gs: int = 1, heads: int = 1, rho: int = 4,
+                 **tensors: Tensor):
+        _check_kind(kind)
+        self.kind, self.ws, self.gs, self.heads, self.rho = kind, ws, gs, heads, rho
+        self.names = tuple(tensors)
+        for name, t in tensors.items():
+            setattr(self, name, t)
+
+    def tensors(self) -> list[tuple[str, Tensor]]:
+        """(name, tensor) pairs in the order they were given."""
+        return [(name, getattr(self, name)) for name in self.names]
 
 
 def _check_groups(c: int, gs: int) -> int:
@@ -178,33 +152,6 @@ def _pointwise(x: Tensor, w_p: Tensor, b_p: Tensor) -> Tensor:
     return T.transpose(y, (0, 2, 1))
 
 
-def linmapper_forward(x: Tensor, p: LinMapperParams, layout_faithful: bool = False) -> Tensor:
-    """Grouped axial linear mixing of one batch of windows.
-
-    ``x`` is (B, C, ws*ws). The default reading maps (group-channels x
-    heights) per width column and (group-channels x widths) per height row.
-    With ``layout_faithful`` the width branch instead maps raw row-major
-    (gs*ws)-chunks of the flattened window, which interleaves channel and
-    height indices.
-    """
-    gs, ws = p.gs, p.ws
-    x5 = _axial_split(x, gs, ws)
-
-    hv = _height_vectors(x5)
-    hf = _axial_join(_height_restore(T.linear(hv, p.w_h, p.b_h), gs, ws))
-
-    if layout_faithful:
-        b, c, n = x.shape
-        g = c // gs
-        wv = T.reshape(x, (b, g, ws, gs * ws))
-        wf = T.reshape(T.linear(wv, p.w_w, p.b_w), (b, c, n))
-    else:
-        wv = _width_vectors(x5)
-        wf = _axial_join(_width_restore(T.linear(wv, p.w_w, p.b_w), gs, ws))
-
-    return _pointwise(hf + wf, p.w_p, p.b_p)
-
-
 def _grouped_linear(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Apply per-group weights: v (B, G, rows, i) @ w[g] (o, i) + b[g]."""
     bsz, g, rows, i = v.shape
@@ -215,45 +162,35 @@ def _grouped_linear(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def dw_linmapper_forward(x: Tensor, p: DWLinMapperParams, layout_faithful: bool = False) -> Tensor:
-    """As linmapper_forward but channel group g uses its own axial weights."""
+def _axial_map(p: AggParams, axis: str, v: Tensor) -> Tensor:
+    """The kind's map on every (gs*ws)-vector of one axis (``h`` or ``w``)."""
+    if p.kind == "MLP":
+        hidden = T.gelu(T.linear(v, getattr(p, f"w1_{axis}"), getattr(p, f"b1_{axis}")))
+        return T.linear(hidden, getattr(p, f"w2_{axis}"), getattr(p, f"b2_{axis}"))
+    affine = _grouped_linear if p.kind == "DWLinear" else T.linear
+    return affine(v, getattr(p, f"w_{axis}"), getattr(p, f"b_{axis}"))
+
+
+def axial_forward(x: Tensor, p: AggParams, layout_faithful: bool = False) -> Tensor:
+    """Grouped axial mixing of one batch of windows (Linear, DWLinear, MLP).
+
+    ``x`` is (B, C, ws*ws). The default reading maps (group-channels x
+    heights) per width column and (group-channels x widths) per height row.
+    With ``layout_faithful`` the width branch instead maps raw row-major
+    (gs*ws)-chunks of the flattened window, which interleaves channel and
+    height indices.
+    """
+    if p.kind == "MHSA":
+        raise ValueError("MHSA is not an axial aggregator; use window_mhsa_forward")
     gs, ws = p.gs, p.ws
     x5 = _axial_split(x, gs, ws)
-
-    hf = _axial_join(_height_restore(_grouped_linear(_height_vectors(x5), p.w_h, p.b_h), gs, ws))
-
+    hf = _axial_join(_height_restore(_axial_map(p, "h", _height_vectors(x5)), gs, ws))
     if layout_faithful:
         b, c, n = x.shape
-        g = c // gs
-        wv = T.reshape(x, (b, g, ws, gs * ws))
-        wf = T.reshape(_grouped_linear(wv, p.w_w, p.b_w), (b, c, n))
+        wv = T.reshape(x, (b, c // gs, ws, gs * ws))
+        wf = T.reshape(_axial_map(p, "w", wv), (b, c, n))
     else:
-        wf = _axial_join(_width_restore(_grouped_linear(_width_vectors(x5), p.w_w, p.b_w), gs, ws))
-
-    return _pointwise(hf + wf, p.w_p, p.b_p)
-
-
-def window_mlp_forward(x: Tensor, p: WindowMlpParams, layout_faithful: bool = False,
-                       activation=T.gelu) -> Tensor:
-    """Axial mixing with two-layer perceptrons instead of single linears."""
-    gs, ws = p.gs, p.ws
-    x5 = _axial_split(x, gs, ws)
-
-    def mlp(v, w1, b1, w2, b2):
-        return T.linear(activation(T.linear(v, w1, b1)), w2, b2)
-
-    hv = _height_vectors(x5)
-    hf = _axial_join(_height_restore(mlp(hv, p.w1_h, p.b1_h, p.w2_h, p.b2_h), gs, ws))
-
-    if layout_faithful:
-        b, c, n = x.shape
-        g = c // gs
-        wv = T.reshape(x, (b, g, ws, gs * ws))
-        wf = T.reshape(mlp(wv, p.w1_w, p.b1_w, p.w2_w, p.b2_w), (b, c, n))
-    else:
-        wv = _width_vectors(x5)
-        wf = _axial_join(_width_restore(mlp(wv, p.w1_w, p.b1_w, p.w2_w, p.b2_w), gs, ws))
-
+        wf = _axial_join(_width_restore(_axial_map(p, "w", _width_vectors(x5)), gs, ws))
     return _pointwise(hf + wf, p.w_p, p.b_p)
 
 
@@ -265,7 +202,7 @@ def relative_position_index(ws: int) -> np.ndarray:
     return rel[0] * (2 * ws - 1) + rel[1]
 
 
-def window_mhsa_forward(x: Tensor, p: WindowMhsaParams) -> Tensor:
+def window_mhsa_forward(x: Tensor, p: AggParams) -> Tensor:
     """Scaled dot-product attention inside each window.
 
     ``x`` is token-major (B, ws*ws, C); the learned relative position bias is
@@ -314,61 +251,32 @@ def zeros_param(shape, dtype=np.float32) -> Tensor:
 
 
 def init_aggregator(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
-                    rho: int = 4, seed: int = 0, dtype=np.float32):
+                    rho: int = 4, seed: int = 0, dtype=np.float32) -> AggParams:
     """Build freshly initialized parameters for one aggregation layer.
 
     Weights are truncated-normal (std 0.02), biases and the relative bias
-    table zero. The same seed always yields bit-identical parameters.
+    table zero, drawn in ``param_shapes`` order. The same seed always yields
+    bit-identical parameters.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    if kind in ("Linear", "DWLinear", "MLP"):
-        g = _check_groups(c, gs)
-        k = gs * ws
-        if kind == "Linear":
-            return LinMapperParams(
-                w_h=trunc_normal(rng, (k, k), dtype=dtype), b_h=zeros_param((k,), dtype),
-                w_w=trunc_normal(rng, (k, k), dtype=dtype), b_w=zeros_param((k,), dtype),
-                w_p=trunc_normal(rng, (c, c), dtype=dtype), b_p=zeros_param((c,), dtype),
-                gs=gs, ws=ws)
-        if kind == "DWLinear":
-            return DWLinMapperParams(
-                w_h=trunc_normal(rng, (g, k, k), dtype=dtype), b_h=zeros_param((g, k), dtype),
-                w_w=trunc_normal(rng, (g, k, k), dtype=dtype), b_w=zeros_param((g, k), dtype),
-                w_p=trunc_normal(rng, (c, c), dtype=dtype), b_p=zeros_param((c,), dtype),
-                gs=gs, ws=ws)
-        hidden = rho * k
-        return WindowMlpParams(
-            w1_h=trunc_normal(rng, (hidden, k), dtype=dtype), b1_h=zeros_param((hidden,), dtype),
-            w2_h=trunc_normal(rng, (k, hidden), dtype=dtype), b2_h=zeros_param((k,), dtype),
-            w1_w=trunc_normal(rng, (hidden, k), dtype=dtype), b1_w=zeros_param((hidden,), dtype),
-            w2_w=trunc_normal(rng, (k, hidden), dtype=dtype), b2_w=zeros_param((k,), dtype),
-            w_p=trunc_normal(rng, (c, c), dtype=dtype), b_p=zeros_param((c,), dtype),
-            gs=gs, ws=ws, rho=rho)
-    if kind == "MHSA":
-        if heads < 1 or c % heads:
-            raise ShapeError(f"channels {c} not divisible by heads {heads}")
-        table = (2 * ws - 1) ** 2
-        return WindowMhsaParams(
-            w_q=trunc_normal(rng, (c, c), dtype=dtype), b_q=zeros_param((c,), dtype),
-            w_k=trunc_normal(rng, (c, c), dtype=dtype), b_k=zeros_param((c,), dtype),
-            w_v=trunc_normal(rng, (c, c), dtype=dtype), b_v=zeros_param((c,), dtype),
-            w_o=trunc_normal(rng, (c, c), dtype=dtype), b_o=zeros_param((c,), dtype),
-            rel_bias=zeros_param((heads, table), dtype),
-            heads=heads, ws=ws)
-    raise ValueError(f"unknown aggregator kind {kind!r}; expected one of {AGGREGATOR_KINDS}")
+    shapes = param_shapes(kind, c, ws, gs, heads, rho)
+    return AggParams(kind, ws, gs, heads, rho, **{
+        name: trunc_normal(rng, shape, dtype=dtype) if name.startswith("w")
+        else zeros_param(shape, dtype)
+        for name, shape in shapes.items()})
 
 
-def aggregate(kind: str, windows: Tensor, params, layout_faithful: bool = False) -> Tensor:
-    """Uniform entry point: token-major windows (B, ws*ws, C) in and out."""
+def aggregate(kind: str, windows: Tensor, params: AggParams,
+              layout_faithful: bool = False) -> Tensor:
+    """Uniform entry point: token-major windows (B, ws*ws, C) in and out.
+
+    ``kind`` must equal ``params.kind``; it names the layer for callers that
+    wrap this function.
+    """
+    if kind != params.kind:
+        raise ValueError(f"aggregate kind {kind!r} does not match parameters of kind "
+                         f"{params.kind!r}")
     if kind == "MHSA":
         return window_mhsa_forward(windows, params)
     x = T.transpose(windows, (0, 2, 1))
-    if kind == "Linear":
-        y = linmapper_forward(x, params, layout_faithful)
-    elif kind == "DWLinear":
-        y = dw_linmapper_forward(x, params, layout_faithful)
-    elif kind == "MLP":
-        y = window_mlp_forward(x, params, layout_faithful)
-    else:
-        raise ValueError(f"unknown aggregator kind {kind!r}")
-    return T.transpose(y, (0, 2, 1))
+    return T.transpose(axial_forward(x, params, layout_faithful), (0, 2, 1))

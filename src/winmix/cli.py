@@ -60,16 +60,6 @@ def _emit(report, table: bool) -> None:
         print(json.dumps(d, indent=2))
 
 
-def _load_any_model(ckpt: str):
-    try:
-        state = load_state(ckpt)
-        return state.model
-    except (KeyError, CheckpointError):
-        pass
-    model, _ = load_model(ckpt)
-    return model
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="winmix", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -154,6 +144,9 @@ def cli_main(argv=None) -> int:
                 if args.hp else Hyperparams()
             data = _load_data(args.data, args.val_data)
             state = load_state(args.resume) if args.resume else None
+            if state is not None and args.hp and hp != state.hp:
+                raise ConfigError(f"--hp {args.hp} differs from the hyperparameters of "
+                                  f"--resume {args.resume}; a resumed run keeps its own")
             state = train(cfg, data, hp, seed=args.seed, state=state, out_dir=args.out)
             print(json.dumps({"schema_version": analytics.SCHEMA_VERSION,
                               "steps": state.step,
@@ -161,13 +154,13 @@ def cli_main(argv=None) -> int:
                               "checkpoint": str(Path(args.out) / "last_good.wmix")},
                              indent=2))
         elif args.cmd == "eval":
-            model = _load_any_model(args.ckpt)
+            model = load_model(args.ckpt)
             data = _load_data(args.data, args.val_data)
             acc, loss = evaluate(model, data.val_images, data.val_labels)
             print(json.dumps({"schema_version": analytics.SCHEMA_VERSION,
                               "accuracy": acc, "loss": loss}, indent=2))
         elif args.cmd == "bench":
-            model = _load_any_model(args.ckpt)
+            model = load_model(args.ckpt)
             print(json.dumps(analytics.bench_throughput(
                 model, batch=args.batch, repeats=args.repeats,
                 resolution=args.res), indent=2))

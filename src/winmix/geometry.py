@@ -2,7 +2,7 @@
 
 Everything here is a pure permutation of token-grid values (plus zero
 padding): window partition and its inverse, bottom/right zero padding,
-cyclic shifts, the strided spatial shuffle, and messenger-token routing.
+cyclic shifts, the strided spatial shuffle, and the messenger exchange.
 None of these ops carries parameters or multiply FLOPs, and every one is
 exactly invertible.
 
@@ -31,8 +31,6 @@ __all__ = [
     "cyclic_shift",
     "spatial_shuffle",
     "spatial_unshuffle",
-    "messenger_attach",
-    "messenger_detach",
     "messenger_exchange",
 ]
 
@@ -79,7 +77,7 @@ class WindowSet:
     """Non-overlapped windows plus the origin record needed to invert.
 
     ``windows`` is (batch * grid_h/ws * grid_w/ws, ws*ws, channels); the
-    origin stores the padded grid extents and the padding to crop on reverse.
+    origin stores the grid extents.
     """
 
     windows: Tensor
@@ -87,8 +85,6 @@ class WindowSet:
     grid_h: int
     grid_w: int
     ws: int
-    pad_h: int = 0
-    pad_w: int = 0
 
     @property
     def num_windows(self) -> int:
@@ -143,12 +139,9 @@ def pad_to_multiple(x: FeatureMap, ws: int) -> tuple[FeatureMap, Padding]:
     return FeatureMap(T.pad_hw(x.values, pad_h, pad_w)), rec
 
 
-def window_partition(x: FeatureMap, ws: int, pads: tuple[int, int] = (0, 0)) -> WindowSet:
-    """Split the grid into ws*ws windows.
-
-    ``pads`` records bottom/right padding already present in ``x`` so that
-    window_reverse can crop it; pass (0, 0) when the caller crops itself.
-    """
+def window_partition(x: FeatureMap, ws: int) -> WindowSet:
+    """Split the grid into ws*ws windows; pad it first with pad_to_multiple
+    and crop after window_reverse when it does not divide."""
     b, h, w, c = x.values.shape
     if h % ws or w % ws:
         raise ShapeError(f"grid {h}x{w} not divisible by window size {ws}")
@@ -156,12 +149,11 @@ def window_partition(x: FeatureMap, ws: int, pads: tuple[int, int] = (0, 0)) -> 
     v = T.reshape(x.values, (b, gh, ws, gw, ws, c))
     v = T.transpose(v, (0, 1, 3, 2, 4, 5))
     v = T.reshape(v, (b * gh * gw, ws * ws, c))
-    return WindowSet(windows=v, batch=b, grid_h=h, grid_w=w, ws=ws,
-                     pad_h=pads[0], pad_w=pads[1])
+    return WindowSet(windows=v, batch=b, grid_h=h, grid_w=w, ws=ws)
 
 
 def window_reverse(wset: WindowSet) -> FeatureMap:
-    """Exact inverse of window_partition, cropping any recorded padding."""
+    """Exact inverse of window_partition."""
     b, h, w, ws = wset.batch, wset.grid_h, wset.grid_w, wset.ws
     gh, gw = h // ws, w // ws
     expected = (b * gh * gw, ws * ws, wset.windows.shape[2])
@@ -172,10 +164,7 @@ def window_reverse(wset: WindowSet) -> FeatureMap:
     c = wset.channels
     v = T.reshape(wset.windows, (b, gh, gw, ws, ws, c))
     v = T.transpose(v, (0, 1, 3, 2, 4, 5))
-    v = T.reshape(v, (b, h, w, c))
-    if wset.pad_h or wset.pad_w:
-        v = T.crop_hw(v, h - wset.pad_h, w - wset.pad_w)
-    return FeatureMap(v)
+    return FeatureMap(T.reshape(v, (b, h, w, c)))
 
 
 def cyclic_shift(x: FeatureMap, dy: int, dx: int) -> FeatureMap:
@@ -216,28 +205,6 @@ def spatial_unshuffle(x: FeatureMap, ws: int) -> FeatureMap:
     v = T.transpose(v, (0, 1, 3, 2, 4))
     v = T.reshape(v, (b, h, w, c))
     return FeatureMap(v)
-
-
-def messenger_attach(wset: WindowSet, state: MessengerState) -> Tensor:
-    """Append messenger tokens after the spatial tokens of each window,
-    giving (num_windows, ws*ws + m, C)."""
-    if state.channels != wset.channels:
-        raise ShapeError(
-            f"messenger channels {state.channels} != window channels {wset.channels}"
-        )
-    if state.tokens.shape[0] != wset.num_windows:
-        raise ShapeError(
-            f"messenger count {state.tokens.shape[0]} != window count {wset.num_windows}"
-        )
-    return T.concat([wset.windows, state.tokens], axis=1)
-
-
-def messenger_detach(attached: Tensor, ws: int) -> tuple[Tensor, Tensor]:
-    """Split an attached bundle back into (window tokens, messenger tokens)."""
-    n = ws * ws
-    if attached.shape[1] <= n:
-        raise ShapeError(f"no messenger tokens to detach from {attached.shape}")
-    return T.slice_axis(attached, 1, 0, n), T.slice_axis(attached, 1, n, attached.shape[1])
 
 
 def messenger_exchange(state: MessengerState) -> MessengerState:

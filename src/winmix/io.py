@@ -18,6 +18,7 @@ WDAT dataset::
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -66,31 +67,58 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a WMIX file back into (config dict, ordered name -> array)."""
+    """Read a WMIX file back into (config dict, ordered name -> array).
+
+    A truncated or garbled header, config blob or tensor record raises
+    CheckpointError. A file cut exactly on a record boundary still parses,
+    as a file with fewer records; v1 has no checksum to tell the two apart,
+    so callers that know which names to expect check them (``load_state``
+    does).
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _WMIX_MAGIC:
         raise CheckpointError(f"{path}: not a WMIX file")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes)")
+    version, json_len = struct.unpack_from("<II", raw, 4)
     if version != _WMIX_VERSION:
         raise CheckpointError(f"{path}: unsupported WMIX version {version}")
-    (json_len,) = struct.unpack_from("<I", raw, 8)
+
+    def need(off: int, n: int, what: str) -> None:
+        if off + n > len(raw):
+            raise CheckpointError(f"{path}: truncated {what} at byte {off} "
+                                  f"(needs {n}, file has {len(raw)})")
+
     off = 12
-    config = json.loads(raw[off:off + json_len].decode("utf-8"))
+    need(off, json_len, "config blob")
+    try:
+        config = json.loads(raw[off:off + json_len].decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: unreadable config blob: {exc}") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config blob is not a JSON object")
     off += json_len
     tensors: dict[str, np.ndarray] = {}
     while off < len(raw):
+        need(off, 4, "record header")
         (name_len,) = struct.unpack_from("<I", raw, off)
         off += 4
-        name = raw[off:off + name_len].decode("utf-8")
+        need(off, name_len + 2, "record header")
+        try:
+            name = raw[off:off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: garbled tensor name at byte {off}") from None
         off += name_len
         code, rank = struct.unpack_from("<BB", raw, off)
         off += 2
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"{path}: bad dtype code {code} for tensor {name!r}")
+        need(off, 8 * rank, f"dims of tensor {name!r}")
         dims = struct.unpack_from(f"<{rank}Q", raw, off)
         off += 8 * rank
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize
+        need(off, nbytes, f"data of tensor {name!r}")
         arr = np.frombuffer(raw[off:off + nbytes], dtype=dtype.newbyteorder("<")).astype(dtype)
         off += nbytes
         tensors[name] = arr.reshape(dims)

@@ -23,7 +23,7 @@ from . import geometry as geo
 from . import tensor as T
 from .aggregators import init_aggregator, trunc_normal, zeros_param
 from .geometry import FeatureMap, MessengerState
-from .io import load_checkpoint, save_checkpoint
+from .io import CheckpointError, load_checkpoint, save_checkpoint
 from .tensor import Tensor
 
 __all__ = [
@@ -174,15 +174,6 @@ def preset(name: str) -> ModelConfig:
         ) from None
 
 
-def resolve_config(spec: str | dict | ModelConfig) -> ModelConfig:
-    """Accept a preset name, a config dict, or a ready ModelConfig."""
-    if isinstance(spec, ModelConfig):
-        return spec
-    if isinstance(spec, dict):
-        return ModelConfig.from_dict(spec)
-    return preset(spec)
-
-
 # -- construction -------------------------------------------------------------
 
 
@@ -263,27 +254,13 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     return Model(config=cfg, params=params, dtype=np.dtype(dtype))
 
 
-_AGG_PARAM_NAMES = {
-    "Linear": ("w_h", "b_h", "w_w", "b_w", "w_p", "b_p"),
-    "DWLinear": ("w_h", "b_h", "w_w", "b_w", "w_p", "b_p"),
-    "MLP": ("w1_h", "b1_h", "w2_h", "b2_h", "w1_w", "b1_w", "w2_w", "b2_w",
-            "w_p", "b_p"),
-    "MHSA": ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o", "rel_bias"),
-}
-
-
-def _agg_params(model: Model, prefix: str, stage: int):
+def _agg_params(model: Model, prefix: str, stage: int) -> agg.AggParams:
     cfg = model.config
-    p = {name: model.params[f"{prefix}.agg.{name}"]
-         for name in _AGG_PARAM_NAMES[cfg.aggregator]}
     _, gs = stage_groups(cfg, stage)
-    if cfg.aggregator == "Linear":
-        return agg.LinMapperParams(**p, gs=gs, ws=cfg.window)
-    if cfg.aggregator == "DWLinear":
-        return agg.DWLinMapperParams(**p, gs=gs, ws=cfg.window)
-    if cfg.aggregator == "MLP":
-        return agg.WindowMlpParams(**p, gs=gs, ws=cfg.window, rho=cfg.mlp_ratio)
-    return agg.WindowMhsaParams(**p, heads=stage_heads(cfg, stage), ws=cfg.window)
+    hp = dict(ws=cfg.window, gs=gs, heads=stage_heads(cfg, stage), rho=cfg.mlp_ratio)
+    names = agg.param_shapes(cfg.aggregator, stage_channels(cfg, stage), **hp)
+    return agg.AggParams(cfg.aggregator, **hp,
+                         **{name: model.params[f"{prefix}.agg.{name}"] for name in names})
 
 
 # -- forward pieces -----------------------------------------------------------
@@ -416,19 +393,27 @@ def forward(model: Model, images: Tensor) -> Tensor:
 # -- persistence --------------------------------------------------------------
 
 
-def save_model(path, model: Model, extra: dict | None = None) -> None:
-    """Write config + parameter table (plus optional extra JSON state)."""
+def save_model(path, model: Model) -> None:
+    """Write a WMIX file holding the config and the parameter table."""
     blob = {"schema_version": 1, "model": model.config.to_dict()}
-    if extra:
-        blob["extra"] = extra
     save_checkpoint(path, blob, {k: v.data for k, v in model.params.items()})
 
 
-def load_model(path) -> tuple[Model, dict]:
-    """Read a checkpoint back into a Model; returns (model, extra dict)."""
-    blob, tensors = load_checkpoint(path)
+def load_model(path) -> Model:
+    """Read the model of any WMIX file, a ``save_model`` or a training one.
+
+    Training checkpoints also hold optimizer moments (``opt.*`` records);
+    they are skipped. Other JSON keys (``train``, ``extra``) are ignored.
+    """
+    return _model_from_checkpoint(path, *load_checkpoint(path))
+
+
+def _model_from_checkpoint(path, blob: dict, tensors: dict[str, np.ndarray]) -> Model:
+    if "model" not in blob:
+        raise CheckpointError(f"{path}: no model config in checkpoint")
     cfg = ModelConfig.from_dict(blob["model"])
-    params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()}
-    model = Model(config=cfg, params=params,
-                  dtype=next(iter(params.values())).data.dtype if params else np.dtype(np.float32))
-    return model, blob.get("extra", {})
+    params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()
+              if not k.startswith("opt.")}
+    if not params:
+        raise CheckpointError(f"{path}: no parameter records")
+    return Model(config=cfg, params=params, dtype=next(iter(params.values())).data.dtype)

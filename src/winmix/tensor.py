@@ -28,11 +28,10 @@ __all__ = [
     "mul",
     "neg",
     "matmul",
+    "linear",
     "reshape",
     "transpose",
     "roll",
-    "concat",
-    "slice_axis",
     "index_select",
     "broadcast_to",
     "pad_hw",
@@ -44,7 +43,6 @@ __all__ = [
     "log_softmax_last_axis",
     "layer_norm",
     "topo_order",
-    "leaves_of",
     "backward",
     "gradients",
     "finite_difference_gradient",
@@ -346,34 +344,6 @@ def roll(a: Tensor, shifts: tuple[int, ...], axes: tuple[int, ...]) -> Tensor:
         return (np.roll(g, tuple(-s for s in shifts), axis=axes),)
 
     return _make(np.roll(a.data, shifts, axis=axes), (a,), back, "roll")
-
-
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    sizes = [p.shape[axis] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(parts))
-        )
-
-    return _make(out, tuple(parts), back, "concat")
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    shape = a.shape
-
-    def back(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[idx] = g
-        return (full,)
-
-    return _make(a.data[idx], (a,), back, "slice")
 
 
 def index_select(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:

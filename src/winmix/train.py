@@ -17,8 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import SyntheticDataset
-from .io import load_checkpoint, save_checkpoint
-from .model import Model, ModelConfig, build_model, forward
+from .io import CheckpointError, load_checkpoint, save_checkpoint
+from .model import Model, ModelConfig, _model_from_checkpoint, build_model, forward
 from .tensor import NumericError, Tensor
 
 __all__ = [
@@ -264,17 +264,21 @@ def save_state(path, state: TrainState) -> None:
 
 
 def load_state(path) -> TrainState:
+    """Read a ``save_state`` checkpoint back; raises CheckpointError when the
+    file holds no training state or its moments do not match its parameters."""
     blob, tensors = load_checkpoint(path)
-    cfg = ModelConfig.from_dict(blob["model"])
+    model = _model_from_checkpoint(path, blob, tensors)
+    if "train" not in blob:
+        raise CheckpointError(f"{path}: not a training checkpoint (no train state)")
     tr = blob["train"]
-    params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()
-              if not k.startswith("opt.")}
-    model = Model(config=cfg, params=params,
-                  dtype=next(iter(params.values())).data.dtype)
+    m = {k[len("opt.m."):]: a for k, a in tensors.items() if k.startswith("opt.m.")}
+    v = {k[len("opt.v."):]: a for k, a in tensors.items() if k.startswith("opt.v.")}
+    if set(m) != set(model.params) or set(v) != set(model.params):
+        raise CheckpointError(f"{path}: optimizer moments do not match the parameters")
     return TrainState(
         model=model,
-        m={k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")},
-        v={k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")},
+        m=m,
+        v=v,
         step=tr["step"],
         seed=tr["seed"],
         hp=Hyperparams.from_dict(tr["hp"]),

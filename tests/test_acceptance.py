@@ -317,13 +317,13 @@ def test_criterion_5_axial_cross_jacobian_ws7():
     for name, t in p.tensors():
         setattr(p, name, Tensor(rng.standard_normal(t.shape), dtype=np.float64))
     x = rng.standard_normal((1, c, ws * ws))
-    from winmix.aggregators import linmapper_forward
-    base = linmapper_forward(Tensor(x, dtype=np.float64), p).numpy()
+    from winmix.aggregators import axial_forward
+    base = axial_forward(Tensor(x, dtype=np.float64), p).numpy()
     ok = True
     for (h, w) in [(0, 0), (2, 6), (3, 3), (6, 1)]:
         probe = x.copy()
         probe[0, :, h * ws + w] += 1.0
-        delta = np.abs(linmapper_forward(Tensor(probe, dtype=np.float64), p).numpy()
+        delta = np.abs(axial_forward(Tensor(probe, dtype=np.float64), p).numpy()
                        - base).sum(axis=1).reshape(ws, ws)
         cross = np.zeros((ws, ws), dtype=bool)
         cross[h, :] = True

@@ -17,11 +17,11 @@ def linear_params(rng, c, ws, gs, w_h=None, w_w=None, w_p=None, zeros_bias=True)
     def pick(given, shape):
         return np.asarray(given, dtype=np.float64) if given is not None \
             else rng.standard_normal(shape)
-    return A.LinMapperParams(
+    return A.AggParams(
+        "Linear", ws=ws, gs=gs,
         w_h=t64(pick(w_h, (k, k))), b_h=t64(np.zeros(k) if zeros_bias else rng.standard_normal(k)),
         w_w=t64(pick(w_w, (k, k))), b_w=t64(np.zeros(k) if zeros_bias else rng.standard_normal(k)),
-        w_p=t64(pick(w_p, (c, c))), b_p=t64(np.zeros(c)),
-        gs=gs, ws=ws)
+        w_p=t64(pick(w_p, (c, c))), b_p=t64(np.zeros(c)))
 
 
 class TestLinMapper:
@@ -30,7 +30,7 @@ class TestLinMapper:
         p = linear_params(rng, 4, 2, 2, w_h=np.zeros((4, 4)), w_w=np.zeros((4, 4)),
                           w_p=np.eye(4))
         x = t64(rng.standard_normal((3, 4, 4)))
-        out = A.linmapper_forward(x, p)
+        out = A.axial_forward(x, p)
         np.testing.assert_array_equal(out.numpy(), 0.0)
 
     def test_identity_maps_with_half_projection(self):
@@ -39,7 +39,7 @@ class TestLinMapper:
         p = linear_params(rng, 3, 2, 3, w_h=np.eye(k), w_w=np.eye(k),
                           w_p=0.5 * np.eye(3))
         x = t64(rng.standard_normal((2, 3, 4)))
-        out = A.linmapper_forward(x, p)
+        out = A.axial_forward(x, p)
         np.testing.assert_allclose(out.numpy(), x.numpy(), rtol=1e-12)
 
     def test_height_swap_window(self):
@@ -47,7 +47,7 @@ class TestLinMapper:
         p = linear_params(np.random.default_rng(2), 1, 2, 1,
                           w_h=[[0, 1], [1, 0]], w_w=np.zeros((2, 2)), w_p=[[1.0]])
         x = t64(np.array([[[1.0, 2.0, 3.0, 4.0]]]))  # window [[1,2],[3,4]]
-        out = A.linmapper_forward(x, p).numpy()
+        out = A.axial_forward(x, p).numpy()
         np.testing.assert_array_equal(out, [[[3.0, 4.0, 1.0, 2.0]]])
 
     @pytest.mark.parametrize("layout", [False, True])
@@ -57,7 +57,7 @@ class TestLinMapper:
         c, ws, gs = 6, 3, 2
         p = linear_params(rng, c, ws, gs, zeros_bias=False)
         x = rng.standard_normal((2, c, ws * ws))
-        got = A.linmapper_forward(t64(x), p, layout_faithful=layout).numpy()
+        got = A.axial_forward(t64(x), p, layout_faithful=layout).numpy()
         want = linmapper_loops(x, p.w_h.numpy(), p.b_h.numpy(), p.w_w.numpy(),
                                p.b_w.numpy(), p.w_p.numpy(), p.b_p.numpy(),
                                gs, ws, layout_faithful=layout)
@@ -67,8 +67,8 @@ class TestLinMapper:
         rng = np.random.default_rng(20)
         p = linear_params(rng, 4, 2, 2, zeros_bias=False)
         x = t64(rng.standard_normal((1, 4, 4)))
-        sym = A.linmapper_forward(x, p, layout_faithful=False).numpy()
-        lit = A.linmapper_forward(x, p, layout_faithful=True).numpy()
+        sym = A.axial_forward(x, p, layout_faithful=False).numpy()
+        lit = A.axial_forward(x, p, layout_faithful=True).numpy()
         assert np.abs(sym - lit).max() > 1e-6
 
     def test_layout_mode_equal_when_gs_1(self):
@@ -76,14 +76,14 @@ class TestLinMapper:
         rng = np.random.default_rng(21)
         p = linear_params(rng, 3, 2, 1, zeros_bias=False)
         x = t64(rng.standard_normal((2, 3, 4)))
-        sym = A.linmapper_forward(x, p, layout_faithful=False).numpy()
-        lit = A.linmapper_forward(x, p, layout_faithful=True).numpy()
+        sym = A.axial_forward(x, p, layout_faithful=False).numpy()
+        lit = A.axial_forward(x, p, layout_faithful=True).numpy()
         np.testing.assert_allclose(sym, lit, rtol=1e-12)
 
     def test_group_divisibility_enforced(self):
         with pytest.raises(ShapeError):
-            A.linmapper_forward(t64(np.zeros((1, 5, 4))),
-                                linear_params(np.random.default_rng(22), 4, 2, 2))
+            A.axial_forward(t64(np.zeros((1, 5, 4))),
+                            linear_params(np.random.default_rng(22), 4, 2, 2))
 
     def test_axial_cross_jacobian_sparsity_ws7(self):
         # perturbing input token (h, w) moves only outputs in row h or col w
@@ -91,11 +91,11 @@ class TestLinMapper:
         ws, gs, c = 7, 2, 4
         p = linear_params(rng, c, ws, gs, zeros_bias=False)
         x = rng.standard_normal((1, c, ws * ws))
-        base = A.linmapper_forward(t64(x), p).numpy()
+        base = A.axial_forward(t64(x), p).numpy()
         for (h, w) in [(0, 0), (3, 5), (6, 2)]:
             probe = x.copy()
             probe[0, :, h * ws + w] += 1.0
-            moved = A.linmapper_forward(t64(probe), p).numpy()
+            moved = A.axial_forward(t64(probe), p).numpy()
             delta = np.abs(moved - base).sum(axis=1).reshape(ws, ws)
             affected = delta > 1e-12
             cross = np.zeros((ws, ws), dtype=bool)
@@ -109,36 +109,38 @@ class TestDWLinMapper:
     def dw_params(self, rng, c, ws, gs):
         g = c // gs
         k = gs * ws
-        return A.DWLinMapperParams(
+        return A.AggParams(
+            "DWLinear", ws=ws, gs=gs,
             w_h=t64(rng.standard_normal((g, k, k))), b_h=t64(rng.standard_normal((g, k))),
             w_w=t64(rng.standard_normal((g, k, k))), b_w=t64(rng.standard_normal((g, k))),
-            w_p=t64(rng.standard_normal((c, c))), b_p=t64(rng.standard_normal(c)),
-            gs=gs, ws=ws)
+            w_p=t64(rng.standard_normal((c, c))), b_p=t64(rng.standard_normal(c)))
 
     def test_identical_groups_degenerate_to_shared(self):
         rng = np.random.default_rng(30)
         c, ws, gs = 6, 2, 2
         shared = linear_params(rng, c, ws, gs, zeros_bias=False)
         g = c // gs
-        dw = A.DWLinMapperParams(
+        dw = A.AggParams(
+            "DWLinear", ws=ws, gs=gs,
             w_h=t64(np.stack([shared.w_h.numpy()] * g)), b_h=t64(np.stack([shared.b_h.numpy()] * g)),
             w_w=t64(np.stack([shared.w_w.numpy()] * g)), b_w=t64(np.stack([shared.b_w.numpy()] * g)),
-            w_p=shared.w_p, b_p=shared.b_p, gs=gs, ws=ws)
+            w_p=shared.w_p, b_p=shared.b_p)
         x = t64(rng.standard_normal((2, c, ws * ws)))
-        np.testing.assert_array_equal(A.dw_linmapper_forward(x, dw).numpy(),
-                                      A.linmapper_forward(x, shared).numpy())
+        np.testing.assert_array_equal(A.axial_forward(x, dw).numpy(),
+                                      A.axial_forward(x, shared).numpy())
 
     def test_group_selective_weights(self):
         # group 0 passes through (identity + half projection), group 1 zeroed
         ws, gs, c = 2, 1, 2
         k = gs * ws
-        dw = A.DWLinMapperParams(
+        dw = A.AggParams(
+            "DWLinear", ws=ws, gs=gs,
             w_h=t64(np.stack([np.eye(k), np.zeros((k, k))])), b_h=t64(np.zeros((2, k))),
             w_w=t64(np.stack([np.eye(k), np.zeros((k, k))])), b_w=t64(np.zeros((2, k))),
-            w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)), gs=gs, ws=ws)
+            w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)))
         rng = np.random.default_rng(31)
         x = rng.standard_normal((1, c, ws * ws))
-        out = A.dw_linmapper_forward(t64(x), dw).numpy()
+        out = A.axial_forward(t64(x), dw).numpy()
         np.testing.assert_allclose(out[0, 0], x[0, 0], rtol=1e-12)
         np.testing.assert_array_equal(out[0, 1], 0.0)
 
@@ -148,7 +150,7 @@ class TestDWLinMapper:
         c, ws, gs = 4, 2, 2
         p = self.dw_params(rng, c, ws, gs)
         x = rng.standard_normal((2, c, ws * ws))
-        got = A.dw_linmapper_forward(t64(x), p).numpy()
+        got = A.axial_forward(t64(x), p).numpy()
         want = linmapper_loops(x, p.w_h.numpy(), p.b_h.numpy(), p.w_w.numpy(),
                                p.b_w.numpy(), p.w_p.numpy(), p.b_p.numpy(), gs, ws)
         np.testing.assert_allclose(got, want, atol=1e-10)
@@ -158,9 +160,9 @@ class TestDWLinMapper:
         c, ws, gs = 8, 2, 2
         x = t64(rng.standard_normal((3, c, ws * ws)))
         with T.count_macs() as shared_macs:
-            A.linmapper_forward(x, linear_params(rng, c, ws, gs))
+            A.axial_forward(x, linear_params(rng, c, ws, gs))
         with T.count_macs() as dw_macs:
-            A.dw_linmapper_forward(x, self.dw_params(rng, c, ws, gs))
+            A.axial_forward(x, self.dw_params(rng, c, ws, gs))
         assert shared_macs[0] == dw_macs[0] > 0
 
 
@@ -168,13 +170,13 @@ class TestWindowMlp:
     def mlp_params(self, rng, c, ws, gs, rho):
         k = gs * ws
         hid = rho * k
-        return A.WindowMlpParams(
+        return A.AggParams(
+            "MLP", ws=ws, gs=gs, rho=rho,
             w1_h=t64(rng.standard_normal((hid, k))), b1_h=t64(rng.standard_normal(hid)),
             w2_h=t64(rng.standard_normal((k, hid))), b2_h=t64(rng.standard_normal(k)),
             w1_w=t64(rng.standard_normal((hid, k))), b1_w=t64(rng.standard_normal(hid)),
             w2_w=t64(rng.standard_normal((k, hid))), b2_w=t64(rng.standard_normal(k)),
-            w_p=t64(rng.standard_normal((c, c))), b_p=t64(np.zeros(c)),
-            gs=gs, ws=ws, rho=rho)
+            w_p=t64(rng.standard_normal((c, c))), b_p=t64(np.zeros(c)))
 
     def test_zero_second_layers_zero_branches(self):
         rng = np.random.default_rng(60)
@@ -185,23 +187,24 @@ class TestWindowMlp:
         p.b2_w = t64(np.zeros_like(p.b2_w.numpy()))
         p.w_p = t64(np.eye(4))
         p.b_p = t64(np.zeros(4))
-        out = A.window_mlp_forward(t64(rng.standard_normal((2, 4, 4))), p)
+        out = A.axial_forward(t64(rng.standard_normal((2, 4, 4))), p)
         np.testing.assert_array_equal(out.numpy(), 0.0)
 
-    def test_identity_layers_reduce_to_linmapper_identity(self):
+    def test_identity_layers_reduce_to_gelu(self):
+        # identity maps leave each branch at gelu(x); half projection sums them
         rng = np.random.default_rng(61)
         c, ws, gs = 3, 2, 3
         k = gs * ws
-        p = A.WindowMlpParams(
+        p = A.AggParams(
+            "MLP", ws=ws, gs=gs, rho=1,
             w1_h=t64(np.eye(k)), b1_h=t64(np.zeros(k)),
             w2_h=t64(np.eye(k)), b2_h=t64(np.zeros(k)),
             w1_w=t64(np.eye(k)), b1_w=t64(np.zeros(k)),
             w2_w=t64(np.eye(k)), b2_w=t64(np.zeros(k)),
-            w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)),
-            gs=gs, ws=ws, rho=1)
-        x = t64(rng.standard_normal((2, c, ws * ws)))
-        out = A.window_mlp_forward(x, p, activation=lambda t: t)
-        np.testing.assert_allclose(out.numpy(), x.numpy(), rtol=1e-12)
+            w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)))
+        x = rng.standard_normal((2, c, ws * ws))
+        out = A.axial_forward(t64(x), p)
+        np.testing.assert_allclose(out.numpy(), gelu_ref(x), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_loop_oracle(self, seed):
@@ -209,7 +212,7 @@ class TestWindowMlp:
         c, ws, gs, rho = 4, 2, 2, 2
         p = self.mlp_params(rng, c, ws, gs, rho)
         x = rng.standard_normal((2, c, ws * ws))
-        got = A.window_mlp_forward(t64(x), p).numpy()
+        got = A.axial_forward(t64(x), p).numpy()
         want = linmapper_loops(
             x, p.w1_h.numpy(), p.b1_h.numpy(), p.w1_w.numpy(), p.b1_w.numpy(),
             p.w_p.numpy(), p.b_p.numpy(), gs, ws,
@@ -344,3 +347,21 @@ class TestAggregatorGradients:
         fd = T.finite_difference_gradient(loss_of, Tensor(x.numpy()), h=1e-4).numpy()
         denom = np.maximum(1.0, np.maximum(np.abs(fd), np.abs(x.grad)))
         assert (np.abs(x.grad - fd) / denom).max() < 1e-4
+
+
+class TestAggregateEntry:
+    def test_kind_must_match_params(self):
+        p = A.init_aggregator("Linear", 4, 2, gs=2, seed=0)
+        with pytest.raises(ValueError, match="MLP"):
+            A.aggregate("MLP", Tensor(np.zeros((1, 4, 4), dtype=np.float32)), p)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            A.AggParams("Conv", ws=2)
+        with pytest.raises(ValueError):
+            A.init_aggregator("Conv", 4, 2)
+
+    def test_axial_forward_rejects_attention_params(self):
+        p = A.init_aggregator("MHSA", 4, 2, heads=2, seed=0)
+        with pytest.raises(ValueError):
+            A.axial_forward(Tensor(np.zeros((1, 4, 4), dtype=np.float32)), p)

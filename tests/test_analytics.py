@@ -176,11 +176,11 @@ class TestFlopsOracle:
 
     def test_single_axial_layer_hand_count(self):
         # one window, ws=2, gs=1, C=2: axial 2*(C/gs)*ws*(gs*ws)^2, proj C^2*ws^2
-        from winmix.aggregators import init_aggregator, linmapper_forward
+        from winmix.aggregators import axial_forward, init_aggregator
         p = init_aggregator("Linear", 2, 2, gs=1, seed=0)
         x = Tensor(np.random.default_rng(0).standard_normal((1, 2, 4)).astype(np.float32))
         with T.count_macs() as macs:
-            linmapper_forward(x, p)
+            axial_forward(x, p)
         # 2 * (gs*ws)^2 * ws * (C/gs) axial + C^2 * ws^2 projection
         assert macs[0] == 2 * 4 * 2 * 2 + 4 * 4 == 48
 

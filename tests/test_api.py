@@ -1,0 +1,32 @@
+"""The public surface: what each module exports exists, and the package
+re-exports only exported names."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import winmix
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(winmix.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_exist(name):
+    mod = importlib.import_module(f"winmix.{name}")
+    assert hasattr(mod, "__all__"), f"winmix.{name} has no __all__"
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing, f"winmix.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_imports_are_exported():
+    tree = ast.parse(Path(winmix.__file__).read_text())
+    unexported = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            mod = importlib.import_module(f"winmix.{node.module}")
+            unexported += [f"{node.module}.{a.name}" for a in node.names
+                           if a.name not in mod.__all__]
+    assert not unexported, f"winmix/__init__.py imports unexported names: {unexported}"

@@ -132,6 +132,36 @@ class TestTrainEvalBench:
         assert code == 0
         assert json.loads(out)["images_per_second"] > 0
 
+    def test_resume_with_different_hp_exits_1(self, capsys, artifacts):
+        run = artifacts / "resume-hp"
+        common = ["train", "--config", str(artifacts / "cfg.json"),
+                  "--data", str(artifacts / "data.json"), "--out", str(run)]
+        code, _, _ = run_cli(capsys, *common, "--hp", str(artifacts / "hp.json"))
+        assert code == 0
+        ckpt = str(run / "last_good.wmix")
+        other = artifacts / "hp-other.json"
+        other.write_text(json.dumps({"steps": 12, "eval_every": 3, "batch_size": 8}))
+        code, out, err = run_cli(capsys, *common, "--hp", str(other), "--resume", ckpt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --hp")
+        code, _, _ = run_cli(capsys, *common, "--hp", str(artifacts / "hp.json"),
+                             "--resume", ckpt)
+        assert code == 0
+
+    @pytest.mark.parametrize("size", [10, 13, 200, 5000])
+    @pytest.mark.parametrize("cmd", ["eval", "bench"])
+    def test_truncated_checkpoint_exits_1(self, capsys, tmp_path, cmd, size):
+        save_model(tmp_path / "m.wmix", build_model(preset("toy-desk"), seed=0))
+        cut = tmp_path / "cut.wmix"
+        cut.write_bytes((tmp_path / "m.wmix").read_bytes()[:size])
+        (tmp_path / "data.json").write_text(json.dumps(DatasetSpec(n_val=8).to_dict()))
+        extra = ["--data", str(tmp_path / "data.json")] if cmd == "eval" else []
+        code, out, err = run_cli(capsys, cmd, "--ckpt", str(cut), *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "truncated" in err
+
     def test_eval_on_wdat_pair(self, capsys, tmp_path):
         ds = gen_dataset(DatasetSpec(n_train=16, n_val=8, size=16))
         ds.save_wdat(tmp_path / "train.wdat", tmp_path / "val.wdat")

@@ -63,9 +63,9 @@ class TestWindowPartition:
     def test_round_trip_with_padding(self):
         x = random_fmap(np.random.default_rng(5), 1, 5, 6, 2)
         padded, rec = G.pad_to_multiple(x, 4)
-        ws = G.window_partition(padded, 4, pads=(rec.pad_h, rec.pad_w))
-        back = G.window_reverse(ws)
-        np.testing.assert_array_equal(back.values.numpy(), x.values.numpy())
+        back = G.window_reverse(G.window_partition(padded, 4))
+        cropped = T.crop_hw(back.values, rec.orig_h, rec.orig_w)
+        np.testing.assert_array_equal(cropped.numpy(), x.values.numpy())
 
     def test_divisibility_enforced(self):
         with pytest.raises(ShapeError):
@@ -161,32 +161,6 @@ def make_state(rng, b, gh, gw, m, c, region):
 
 
 class TestMessengers:
-    def test_attach_shape_and_order(self):
-        rng = np.random.default_rng(22)
-        x = random_fmap(rng, 1, 4, 4, 8)
-        ws = G.window_partition(x, 2)
-        state = make_state(rng, 1, 2, 2, 1, 8, region=2)
-        merged = G.messenger_attach(ws, state)
-        assert merged.shape == (4, 5, 8)
-
-    def test_attach_detach_round_trip(self):
-        rng = np.random.default_rng(23)
-        x = random_fmap(rng, 2, 4, 4, 4)
-        ws = G.window_partition(x, 2)
-        state = make_state(rng, 2, 2, 2, 3, 4, region=2)
-        merged = G.messenger_attach(ws, state)
-        toks, msgs = G.messenger_detach(merged, 2)
-        np.testing.assert_array_equal(toks.numpy(), ws.windows.numpy())
-        np.testing.assert_array_equal(msgs.numpy(), state.tokens.numpy())
-
-    def test_channel_mismatch_rejected(self):
-        rng = np.random.default_rng(24)
-        x = random_fmap(rng, 1, 4, 4, 8)
-        ws = G.window_partition(x, 2)
-        state = make_state(rng, 1, 2, 2, 1, 4, region=2)
-        with pytest.raises(ShapeError):
-            G.messenger_attach(ws, state)
-
     def test_exchange_region_one_is_identity(self):
         rng = np.random.default_rng(25)
         state = make_state(rng, 1, 3, 3, 1, 8, region=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ class TestBuild:
         assert "stage1.block1.msg.collect.w" in names
         assert "stage0.msg_init" not in names  # depth-1 stage has no odd block
         assert not any(n.startswith("stage0.block0.msg") for n in names)
+
+    # sha256 over (name, shape, bytes) of each toy-desk table at seed 0; a
+    # change to the parameter names, shapes or draw order changes the digest
+    FROZEN_TABLE_DIGESTS = {
+        "Linear": "bee7d20d23f5cdd79ed62e9c4f70a7c55fabd4a168b587fbbf74dcb5df14ac0f",
+        "DWLinear": "b27e071e04200c3a330eb3131e28aed82ba69479ef36a1e0a78fa3a5804a510d",
+        "MLP": "1e60d9410cd963e5149aa197d8f44a9db6f275d2e3fd507a4e57c1c358120b14",
+        "MHSA": "e2ba8faffb0b82c849c7d65a67d3cac0d4440cd5c9c1d883889cd2fad0d98b6c",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FROZEN_TABLE_DIGESTS))
+    def test_init_digest_frozen(self, kind):
+        m = build_model(dataclasses.replace(preset("toy-desk"), aggregator=kind), seed=0)
+        h = hashlib.sha256()
+        for name, t in m.params.items():
+            h.update(name.encode())
+            h.update(repr(t.shape).encode())
+            h.update(t.numpy().tobytes())
+        assert h.hexdigest() == self.FROZEN_TABLE_DIGESTS[kind]
 
 
 class TestPatchEmbed:
@@ -337,13 +357,23 @@ class TestCheckpoint:
         m = build_model(dataclasses.replace(TINY, comm="MSG", depths=(1, 2, 1, 1)),
                         seed=19)
         path = tmp_path / "model.wmix"
-        M.save_model(path, m, extra={"note": "x"})
-        loaded, extra = M.load_model(path)
-        assert extra == {"note": "x"}
+        M.save_model(path, m)
+        loaded = M.load_model(path)
         assert loaded.config == m.config
         assert list(loaded.params) == list(m.params)
         for k in m.params:
             assert m.params[k].numpy().tobytes() == loaded.params[k].numpy().tobytes()
+
+    def test_file_with_extra_key_loads(self, tmp_path):
+        from winmix.io import save_checkpoint
+        m = build_model(TINY, seed=21)
+        path = tmp_path / "extra.wmix"
+        save_checkpoint(path, {"schema_version": 1, "model": m.config.to_dict(),
+                               "extra": {"note": "x"}},
+                        {k: t.numpy() for k, t in m.params.items()})
+        loaded = M.load_model(path)
+        assert list(loaded.params) == list(m.params)
+        assert loaded.param_count() == m.param_count()
 
     def test_magic_checked(self, tmp_path):
         from winmix.io import CheckpointError

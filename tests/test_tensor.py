@@ -224,8 +224,10 @@ OPS = [
      lambda x: T.tsum(T.gelu(T.mul(x, x)))),
     ("log_softmax", lambda rng: (rng.standard_normal((2, 7)),),
      lambda x: T.tsum(T.mul(T.log_softmax_last_axis(x), x))),
+    # [roll(x) | x] concatenated along the width, from pad_hw and roll
     ("roll_concat", lambda rng: (rng.standard_normal((2, 3, 3, 2)),),
-     lambda x: T.tsum(T.gelu(T.concat([T.roll(x, (1, 2), (1, 2)), x], axis=3)))),
+     lambda x: T.tsum(T.gelu(T.add(T.pad_hw(T.roll(x, (1, 2), (1, 2)), 0, 3),
+                                   T.roll(T.pad_hw(x, 0, 3), (3,), (2,)))))),
     ("index_select", lambda rng: (rng.standard_normal((5, 3)),),
      lambda x: T.tsum(T.gelu(T.index_select(x, np.array([0, 2, 2, 4]))))),
     ("mean_broadcast", lambda rng: (rng.standard_normal((3, 4)),),

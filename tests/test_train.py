@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 
+from winmix.analytics import count_params
 from winmix.data import DatasetSpec, gen_dataset
-from winmix.model import ModelConfig, build_model, forward
+from winmix.io import CheckpointError
+from winmix.model import ModelConfig, build_model, forward, load_model, preset, save_model
 from winmix.tensor import Tensor
 from winmix.train import (
     DivergenceError,
@@ -175,3 +179,90 @@ class TestCheckpointResume:
         other = dataclasses.replace(CFG, width=16)
         with pytest.raises(ValueError):
             train(other, small_data, hp, seed=6, state=state)
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(small_data, tmp_path_factory):
+    """A 3-step toy-desk training run and its save_state file."""
+    state = train(preset("toy-desk"), small_data,
+                  Hyperparams(steps=3, batch_size=4, eval_every=3), seed=0)
+    path = tmp_path_factory.mktemp("ckpt") / "state.wmix"
+    save_state(path, state)
+    return state, path
+
+
+def _layout(raw: bytes) -> tuple[int, list[int]]:
+    """End of the config blob and the end offset of every tensor record."""
+    off = 12 + struct.unpack_from("<I", raw, 8)[0]
+    json_end, ends = off, []
+    while off < len(raw):
+        off += 4 + struct.unpack_from("<I", raw, off)[0]
+        code, rank = struct.unpack_from("<BB", raw, off)
+        dims = struct.unpack_from(f"<{rank}Q", raw, off + 2)
+        off += 2 + 8 * rank + math.prod(dims) * (4 if code == 0 else 8)
+        ends.append(off)
+    return json_end, ends
+
+
+class TestCheckpointFiles:
+    def test_training_checkpoint_loads_as_model(self, toy_checkpoint):
+        state, path = toy_checkpoint
+        model = load_model(path)
+        assert model.config == state.model.config
+        assert list(model.params) == list(state.model.params)
+        for k, t in state.model.params.items():
+            assert model.params[k].numpy().tobytes() == t.numpy().tobytes()
+        assert model.param_count() == count_params(model.config).total_params == 282_148
+
+    def test_truncation_raises_checkpoint_error(self, toy_checkpoint, tmp_path):
+        raw = toy_checkpoint[1].read_bytes()
+        json_end, ends = _layout(raw)
+        rng = np.random.default_rng(0)
+        cuts = set(range(json_end + 16)) | {e + d for e in ends for d in (-1, 0, 1)}
+        cuts |= set(rng.integers(json_end, len(raw), 64).tolist())
+        cut = tmp_path / "cut.wmix"
+        for n in sorted(c for c in cuts if c < len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_state(cut)
+            if n not in ends:  # a cut on a record boundary is a valid, shorter file
+                with pytest.raises(CheckpointError):
+                    load_model(cut)
+
+    def test_garbled_headers_raise_checkpoint_error(self, toy_checkpoint, tmp_path):
+        raw = toy_checkpoint[1].read_bytes()
+        json_end, _ = _layout(raw)
+        name_len = struct.unpack_from("<I", raw, json_end)[0]
+        code_at = json_end + 4 + name_len
+
+        def garbled(offset, value):
+            return raw[:offset] + value + raw[offset + len(value):]
+
+        cases = {
+            "config length past EOF": garbled(8, struct.pack("<I", 2 ** 32 - 1)),
+            "config not UTF-8": garbled(12, b"\xff\xfe"),
+            "config not JSON": garbled(12, b"["),
+            "name length past EOF": garbled(json_end, struct.pack("<I", 2 ** 31)),
+            "bad dtype code": garbled(code_at, b"\x07"),
+            "dims past EOF": garbled(code_at + 2, struct.pack("<Q", 2 ** 40)),
+        }
+        path = tmp_path / "bad.wmix"
+        for what, data in cases.items():
+            path.write_bytes(data)
+            try:
+                load_state(path)
+            except CheckpointError:
+                continue
+            pytest.fail(f"no CheckpointError for a file with {what}")
+
+    def test_moment_names_must_match_parameters(self, toy_checkpoint, tmp_path):
+        state = toy_checkpoint[0]
+        short = dataclasses.replace(state, v=dict(list(state.v.items())[1:]))
+        save_state(tmp_path / "short.wmix", short)
+        with pytest.raises(CheckpointError, match="moments"):
+            load_state(tmp_path / "short.wmix")
+
+    def test_model_file_is_not_a_training_checkpoint(self, toy_checkpoint, tmp_path):
+        save_model(tmp_path / "m.wmix", toy_checkpoint[0].model)
+        with pytest.raises(CheckpointError, match="not a training checkpoint"):
+            load_state(tmp_path / "m.wmix")
