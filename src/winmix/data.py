@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import load_wdat, save_wdat
+from .io import dataclass_from_dict, load_wdat, save_wdat
 
 __all__ = [
     "DatasetSpec",
@@ -66,7 +66,7 @@ class DatasetSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "DatasetSpec":
-        return DatasetSpec(**d)
+        return dataclass_from_dict(DatasetSpec, d, "dataset spec")
 
 
 @dataclass

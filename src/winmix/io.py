@@ -17,6 +17,7 @@ WDAT dataset::
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -42,6 +43,20 @@ _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 
 class CheckpointError(IOError):
     """Malformed or mismatched checkpoint/dataset file."""
+
+
+def dataclass_from_dict(cls, d, what: str, error: type[Exception] = ValueError):
+    """Build the dataclass ``cls`` from a decoded JSON object.
+
+    A value that is not an object, or an object with keys that are not
+    fields of ``cls``, raises ``error`` naming ``what`` and the unknown keys.
+    """
+    if not isinstance(d, dict):
+        raise error(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(unknown)}")
+    return cls(**d)
 
 
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -72,8 +87,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     A truncated or garbled header, config blob or tensor record raises
     CheckpointError. A file cut exactly on a record boundary still parses,
     as a file with fewer records; v1 has no checksum to tell the two apart,
-    so callers that know which names to expect check them (``load_state``
-    does).
+    so callers that know what to expect check it (``load_model`` checks the
+    parameter count against the config, ``load_state`` the moment names).
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _WMIX_MAGIC:

@@ -23,7 +23,7 @@ from . import geometry as geo
 from . import tensor as T
 from .aggregators import init_aggregator, trunc_normal, zeros_param
 from .geometry import FeatureMap, MessengerState
-from .io import CheckpointError, load_checkpoint, save_checkpoint
+from .io import CheckpointError, dataclass_from_dict, load_checkpoint, save_checkpoint
 from .tensor import Tensor
 
 __all__ = [
@@ -87,11 +87,7 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(ModelConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return ModelConfig(**d)
+        return dataclass_from_dict(ModelConfig, d, "config", ConfigError)
 
 
 def validate_config(cfg: ModelConfig) -> None:
@@ -294,7 +290,7 @@ def patch_merge(model: Model, x: FeatureMap, stage: int) -> FeatureMap:
     v = T.reshape(v, (b, h // 2, w // 2, 4 * c))
     v = T.layer_norm(v, model.params[f"merge{stage}.norm.g"],
                      model.params[f"merge{stage}.norm.b"])
-    v = T.matmul(v, T.transpose(model.params[f"merge{stage}.reduce.w"], (1, 0)))
+    v = T.linear(v, model.params[f"merge{stage}.reduce.w"])
     return FeatureMap(v)
 
 
@@ -404,6 +400,8 @@ def load_model(path) -> Model:
 
     Training checkpoints also hold optimizer moments (``opt.*`` records);
     they are skipped. Other JSON keys (``train``, ``extra``) are ignored.
+    A table whose element count differs from the config's, such as a file
+    cut on a record boundary, raises CheckpointError.
     """
     return _model_from_checkpoint(path, *load_checkpoint(path))
 
@@ -416,4 +414,11 @@ def _model_from_checkpoint(path, blob: dict, tensors: dict[str, np.ndarray]) -> 
               if not k.startswith("opt.")}
     if not params:
         raise CheckpointError(f"{path}: no parameter records")
-    return Model(config=cfg, params=params, dtype=next(iter(params.values())).data.dtype)
+    from .analytics import count_params  # analytics imports this module
+
+    model = Model(config=cfg, params=params, dtype=next(iter(params.values())).data.dtype)
+    expected = count_params(cfg).total_params
+    if model.param_count() != expected:
+        raise CheckpointError(f"{path}: {len(params)} parameter records hold "
+                              f"{model.param_count()} values; the config needs {expected}")
+    return model

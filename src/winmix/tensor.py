@@ -3,8 +3,18 @@
 Values live in numpy arrays (row-major, float32 or float64). Every op is a
 pure function returning a fresh ``Tensor``; when gradients are enabled the op
 records its parents and a backward closure, and ``backward`` replays the tape
-in reverse topological order. Forward results are checked for NaN/Inf so a
-numeric blow-up raises instead of propagating silently.
+in reverse topological order.
+
+``linear`` is one op and one 2-D GEMM: all leading axes of the input fold
+into the rows, so a shared-weight map costs one graph node and its weight
+gradient is one product, not a per-batch stack.
+
+Forward results are checked for NaN/Inf so a numeric blow-up raises instead
+of propagating silently. Ops that only move, copy, zero-fill or negate
+elements (``reshape``, ``transpose``, ``roll``, ``index_select``,
+``broadcast_to``, ``pad_hw``, ``crop_hw``, ``neg``) are not scanned: they
+cannot turn finite inputs into NaN or Inf, and a NaN passed through them is
+caught by the next arithmetic op.
 """
 
 from __future__ import annotations
@@ -82,7 +92,7 @@ def no_grad():
 
 @contextlib.contextmanager
 def count_macs():
-    """Count multiply-accumulates of every matmul executed in the block.
+    """Count multiply-accumulates of every matmul and linear executed in the block.
 
     Yields a one-element list; entry 0 holds the running MAC total. Only
     dot-product kernels count. Elementwise work, norms, softmax and GELU
@@ -196,8 +206,13 @@ def _lift(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+# not scanned by _check_finite (see the module docstring)
+_DATA_MOVEMENT_OPS = frozenset(
+    {"reshape", "transpose", "roll", "index_select", "broadcast_to", "pad_hw", "crop_hw", "neg"})
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _finite_checks and not np.all(np.isfinite(arr)):
+    if _finite_checks and op not in _DATA_MOVEMENT_OPS and not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -304,15 +319,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map on the last axis: ``x @ weight.T + bias``.
+    """Affine map on the last axis: ``x @ weight.T + bias``, as one op.
 
     ``weight`` is (out_features, in_features), matching the column-vector
-    convention ``y = W x + b``.
+    convention ``y = W x + b``. Every leading axis of ``x`` folds into the
+    rows of one 2-D GEMM, so the weight gradient is one product
+    ``g2.T @ x2`` instead of a per-batch stack summed afterwards.
     """
-    y = matmul(x, transpose(weight, (1, 0)))
+    if x.ndim < 1 or weight.ndim != 2 or x.shape[-1] != weight.shape[1]:
+        raise ShapeError(f"linear inner extents differ: {x.shape} @ {weight.shape}.T")
+    n, k = weight.shape
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"linear bias {bias.shape} does not match {n} output features")
+    x2 = x.data.reshape(-1, k)
+    out = x2 @ weight.data.T
     if bias is not None:
-        y = add(y, bias)
-    return y
+        out += bias.data
+    if _mac_counters:
+        _record_macs(x2.shape[0] * k * n)
+
+    def back(g):
+        g2 = g.reshape(-1, n)
+        gx = (g2 @ weight.data).reshape(x.shape)
+        gw = g2.T @ x2
+        return (gx, gw) if bias is None else (gx, gw, g2.sum(axis=0))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _make(out.reshape(x.shape[:-1] + (n,)), parents, back, "linear")
 
 
 # -- shape manipulation ----------------------------------------------------
@@ -522,11 +555,6 @@ def topo_order(root: Tensor) -> list[Tensor]:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
-
-
-def leaves_of(root: Tensor) -> list[Tensor]:
-    """Parameter tensors (requires_grad, no parents) reachable from root."""
-    return [t for t in topo_order(root) if t.requires_grad and not t._parents]
 
 
 def backward(loss: Tensor) -> None:

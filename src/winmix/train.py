@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import SyntheticDataset
-from .io import CheckpointError, load_checkpoint, save_checkpoint
+from .io import CheckpointError, dataclass_from_dict, load_checkpoint, save_checkpoint
 from .model import Model, ModelConfig, _model_from_checkpoint, build_model, forward
 from .tensor import NumericError, Tensor
 
@@ -72,7 +72,7 @@ class Hyperparams:
 
     @staticmethod
     def from_dict(d: dict) -> "Hyperparams":
-        return Hyperparams(**d)
+        return dataclass_from_dict(Hyperparams, d, "hyperparameter")
 
 
 @dataclass

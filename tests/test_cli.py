@@ -149,6 +149,37 @@ class TestTrainEvalBench:
                              "--resume", ckpt)
         assert code == 0
 
+    def test_unknown_hp_key_exits_1(self, capsys, artifacts, tmp_path):
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"steps": 2, "bogus": 1}))
+        code, out, err = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),
+                                 "--hp", str(hp), "--data", str(artifacts / "data.json"),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "bogus" in err
+
+    def test_unknown_data_key_exits_1(self, capsys, tmp_path):
+        save_model(tmp_path / "m.wmix", build_model(preset("toy-desk"), seed=0))
+        (tmp_path / "data.json").write_text(json.dumps({"n_train": 16, "bogus": 3}))
+        code, out, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "m.wmix"),
+                                 "--data", str(tmp_path / "data.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "bogus" in err
+
+    def test_model_file_cut_on_record_boundary_exits_1(self, capsys, tmp_path):
+        model = build_model(preset("toy-desk"), seed=0)
+        save_model(tmp_path / "m.wmix", model)
+        # the same file cut after its first four records (the stem)
+        head = dict(list(model.params.items())[:4])
+        save_model(tmp_path / "cut.wmix", model.replace_params(head))
+        assert (tmp_path / "m.wmix").read_bytes().startswith(
+            (tmp_path / "cut.wmix").read_bytes())
+        (tmp_path / "data.json").write_text(json.dumps(DatasetSpec(n_val=8).to_dict()))
+        code, out, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "cut.wmix"),
+                                 "--data", str(tmp_path / "data.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "cut.wmix" in err and "config needs" in err
+
     @pytest.mark.parametrize("size", [10, 13, 200, 5000])
     @pytest.mark.parametrize("cmd", ["eval", "bench"])
     def test_truncated_checkpoint_exits_1(self, capsys, tmp_path, cmd, size):

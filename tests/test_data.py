@@ -85,6 +85,12 @@ class TestGeneration:
         wide = DatasetSpec(mode="seam-phase", classes=2, size=128, height=8)
         assert DatasetSpec.from_dict(wide.to_dict()) == wide
 
+    def test_spec_from_dict_names_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"\['bogus'\]"):
+            DatasetSpec.from_dict({"n_train": 16, "bogus": 3})
+        with pytest.raises(ValueError, match="JSON object"):
+            DatasetSpec.from_dict("n_train")
+
     def test_spec_without_height_loads_square(self):
         d = DatasetSpec(seed=2).to_dict()
         del d["height"]

@@ -53,6 +53,56 @@ class TestMatmul:
             np.testing.assert_allclose(got[i], a[i] @ b[i], rtol=1e-12)
 
 
+class TestLinear:
+    @pytest.mark.parametrize("lead", [(5,), (2, 3), (2, 3, 2)], ids=["rank2", "rank3", "rank4"])
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+    def test_gradcheck_float64(self, lead, with_bias):
+        rng = np.random.default_rng(len(lead))
+        arrays = [rng.standard_normal(lead + (4,)), rng.standard_normal((3, 4))]
+        if with_bias:
+            arrays.append(rng.standard_normal(3))
+
+        def fn(*ts):
+            return T.tsum(T.gelu(T.linear(*ts)))
+
+        tensors = [t64(a, grad=True) for a in arrays]
+        backward(fn(*tensors))
+        for i, base in enumerate(arrays):
+            def scalar_fn(t):
+                probe = [t64(a) for a in arrays]
+                probe[i] = t
+                return fn(*probe)
+
+            fd = finite_difference_gradient(scalar_fn, t64(base), h=1e-5).numpy()
+            np.testing.assert_allclose(tensors[i].grad, fd, rtol=1e-6, atol=1e-8)
+
+    def test_matches_numpy_as_one_node(self):
+        rng = np.random.default_rng(11)
+        x, w, b = (t64(rng.standard_normal(s), grad=True) for s in ((2, 3, 4), (5, 4), (5,)))
+        y = T.linear(x, w, b)
+        assert y.shape == (2, 3, 5)
+        np.testing.assert_allclose(y.numpy(), x.numpy() @ w.numpy().T + b.numpy(), rtol=1e-12)
+        assert len(T.topo_order(y)) == 4  # x, w, b and the one linear node
+
+    def test_counts_rows_k_n_macs(self):
+        x = t64(np.ones((2, 3, 7, 4)))
+        with T.count_macs() as macs:
+            T.linear(x, t64(np.ones((5, 4))), t64(np.zeros(5)))
+        assert macs[0] == (2 * 3 * 7) * 4 * 5
+
+    def test_inner_extent_mismatch(self):
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(5, 4\)"):
+            T.linear(t64(np.zeros((2, 3))), t64(np.zeros((5, 4))))
+        with pytest.raises(ShapeError):
+            T.linear(t64(np.zeros((2, 4))), t64(np.zeros((5, 4))), t64(np.zeros(4)))
+
+    def test_float32_overflow_raises(self):
+        x = Tensor(np.full((2, 4), 1e20, dtype=np.float32))
+        w = Tensor(np.full((3, 4), 1e20, dtype=np.float32))
+        with pytest.raises(NumericError, match="linear"):
+            T.linear(x, w)
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = T.softmax_last_axis(t64([0.0, 0.0, 0.0])).numpy()
@@ -149,6 +199,23 @@ class TestFiniteChecks:
     def test_log_softmax_is_stable(self):
         out = T.log_softmax_last_axis(t64([1000.0, 0.0]))
         assert np.isfinite(out.numpy()).all()
+
+
+class TestDataMovementNotScanned:
+    """Ops that only move elements skip the scan; the next arithmetic op
+    still raises on a NaN that came in from outside."""
+
+    @pytest.mark.parametrize("move", [
+        lambda t: T.reshape(t, (4, 3)),
+        lambda t: T.transpose(t, (1, 0)),
+    ], ids=["reshape", "transpose"])
+    def test_nan_caught_by_next_arithmetic_op(self, move):
+        x = np.zeros((3, 4))
+        x[1, 2] = np.nan
+        moved = move(t64(x))
+        assert np.isnan(moved.numpy()).sum() == 1
+        with pytest.raises(NumericError, match="'add'"):
+            T.add(moved, 1.0)
 
 
 class TestBackward:
