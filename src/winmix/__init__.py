@@ -51,6 +51,7 @@ from .model import (
     preset,
     PRESETS,
     build_model,
+    table_shapes,
     forward,
     save_model,
     load_model,

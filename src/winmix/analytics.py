@@ -5,7 +5,8 @@ is instantiated. FLOPs are multiply-accumulates at batch size 1 for a given
 input resolution; norms, softmax, GELU, pooling and plain additions count
 zero, and permutation ops (partition, shift, shuffle, messenger exchange)
 are free. ``flops_oracle`` cross-checks the closed form by running the real
-forward pass with an instrumented matmul kernel and must agree exactly.
+forward pass with an instrumented matmul kernel and must agree exactly; since
+MACs depend only on shapes, it runs on a zero table from ``table_shapes``.
 
 Connectivity propagates boolean token-influence masks through the block
 sequence on a fixed token grid, using each aggregator's intra-window pattern
@@ -31,7 +32,6 @@ from . import tensor as T
 from .model import (
     Model,
     ModelConfig,
-    build_model,
     choose_messenger_region,
     comm_active,
     forward,
@@ -39,6 +39,7 @@ from .model import (
     stage_groups,
     stage_has_comm,
     stage_heads,
+    table_shapes,
     validate_config,
 )
 from .tensor import Tensor
@@ -221,14 +222,15 @@ def count_flops(cfg: ModelConfig, resolution) -> CostReport:
 
 
 def flops_oracle(cfg: ModelConfig, resolution, seed: int = 0) -> int:
-    """Count every matmul multiply of one real forward pass (batch 1).
-
-    Desk-scale configs only; the result must equal ``count_flops`` exactly.
+    """Count every matmul multiply of one real forward pass (batch 1) on a
+    zero table from ``table_shapes``: MACs depend only on shapes, so no weight
+    is drawn and ``seed`` fixes only the images. Desk-scale configs only; the
+    result must equal ``count_flops`` exactly.
     """
     hw = _as_hw(resolution)
     if count_params(cfg).total_params > 5_000_000 or max(hw) > 128:
         raise ValueError("flops_oracle is for desk-scale configs only")
-    model = build_model(cfg, seed=seed)
+    model = Model(cfg, {k: Tensor(np.zeros(s, np.float32)) for k, s in table_shapes(cfg).items()})
     rng = np.random.Generator(np.random.PCG64(seed))
     images = Tensor(rng.standard_normal((1, hw[0], hw[1], 3)).astype(np.float32))
     with T.no_grad(), T.count_macs() as macs:

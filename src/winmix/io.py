@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +49,38 @@ class CheckpointError(IOError):
 def dataclass_from_dict(cls, d, what: str, error: type[Exception] = ValueError):
     """Build the dataclass ``cls`` from a decoded JSON object.
 
-    A value that is not an object, or an object with keys that are not
-    fields of ``cls``, raises ``error`` naming ``what`` and the unknown keys.
+    A value that is not an object, an object with keys that are not fields
+    of ``cls``, or a value that does not fit its field's type raises
+    ``error`` naming ``what`` and the keys. A JSON int fits a float field; a
+    JSON bool fits only a bool field; a list fits a tuple field.
     """
     if not isinstance(d, dict):
         raise error(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
     if unknown:
         raise error(f"unknown {what} fields: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        if not _fits(value, hints[key]):
+            raise error(f"{what} field {key!r} must be {fields[key].type}, "
+                        f"got {type(value).__name__} {value!r}")
     return cls(**d)
+
+
+def _fits(value, tp) -> bool:
+    """Whether a decoded JSON value fits the field type ``tp``."""
+    if isinstance(value, bool):
+        return tp is bool or bool in typing.get_args(tp)
+    if tp is float and isinstance(value, int):
+        return True
+    if typing.get_origin(tp) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, t) for v, t in zip(value, typing.get_args(tp)))
+    args = typing.get_args(tp)
+    if args:  # a union such as ``float | None``
+        return any(_fits(value, t) for t in args)
+    return isinstance(value, tp)
 
 
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -88,7 +112,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     CheckpointError. A file cut exactly on a record boundary still parses,
     as a file with fewer records; v1 has no checksum to tell the two apart,
     so callers that know what to expect check it (``load_model`` checks the
-    parameter count against the config, ``load_state`` the moment names).
+    records against the config's ``table_shapes``, ``load_state`` the moment
+    names).
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _WMIX_MAGIC:
@@ -157,10 +182,16 @@ def save_wdat(path, images: np.ndarray, labels: np.ndarray) -> None:
 
 
 def load_wdat(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a WDAT dataset into float32 images in [0, 1] and int64 labels."""
+    """Read a WDAT dataset into float32 images in [0, 1] and int64 labels.
+
+    A short header, a truncated block or bytes after the labels raise
+    CheckpointError.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _WDAT_MAGIC:
         raise CheckpointError(f"{path}: not a WDAT file")
+    if len(raw) < 14:
+        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes)")
     n, h, w, c = struct.unpack_from("<IHHH", raw, 4)
     off = 4 + 10
     npx = n * h * w * c
@@ -170,6 +201,9 @@ def load_wdat(path) -> tuple[np.ndarray, np.ndarray]:
     off += npx
     if len(raw) < off + 2 * n:
         raise CheckpointError(f"{path}: truncated label block")
+    if len(raw) > off + 2 * n:
+        raise CheckpointError(f"{path}: {len(raw) - off - 2 * n} trailing bytes after "
+                              f"the label block")
     lb = np.frombuffer(raw[off:off + 2 * n], dtype="<u2")
     images = (px.reshape(n, h, w, c).astype(np.float32)) / 255.0
     return images, lb.astype(np.int64)

@@ -21,7 +21,7 @@ import numpy as np
 from . import aggregators as agg
 from . import geometry as geo
 from . import tensor as T
-from .aggregators import init_aggregator, trunc_normal, zeros_param
+from .aggregators import trunc_normal, zeros_param
 from .geometry import FeatureMap, MessengerState
 from .io import CheckpointError, dataclass_from_dict, load_checkpoint, save_checkpoint
 from .tensor import Tensor
@@ -33,6 +33,7 @@ __all__ = [
     "preset",
     "PRESETS",
     "build_model",
+    "table_shapes",
     "forward",
     "patch_embed",
     "patch_merge",
@@ -177,7 +178,7 @@ def preset(name: str) -> ModelConfig:
 class Model:
     config: ModelConfig
     params: dict[str, Tensor]
-    dtype: object
+    dtype: object = np.dtype(np.float32)
 
     def param_count(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -186,67 +187,66 @@ class Model:
         return Model(config=self.config, params=params, dtype=self.dtype)
 
 
-def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    """Instantiate every parameter of the configured model.
+def table_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Ordered name -> shape of the whole parameter table.
 
-    Parameters are created in one fixed order from a single seeded generator,
-    so identical (config, seed) pairs give bit-identical tables.
+    The one walk of the parameter names: ``build_model`` draws in this
+    order, checkpoints record in it, ``load_model`` checks files against it
+    and ``flops_oracle`` runs the forward pass on its zero table.
     """
     validate_config(cfg)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    params: dict[str, Tensor] = {}
-
-    def w(name, shape):
-        params[name] = trunc_normal(rng, shape, dtype=dtype)
-
-    def zeros(name, shape):
-        params[name] = zeros_param(shape, dtype)
-
-    def ones(name, shape):
-        params[name] = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
     def norm(prefix, c):
-        ones(f"{prefix}.g", (c,))
-        zeros(f"{prefix}.b", (c,))
+        return {f"{prefix}.g": (c,), f"{prefix}.b": (c,)}
 
     c0 = cfg.width
-    w("stem.proj.w", (c0, 48))
-    zeros("stem.proj.b", (c0,))
-    norm("stem.norm", c0)
-
+    shapes = {"stem.proj.w": (c0, 48), "stem.proj.b": (c0,), **norm("stem.norm", c0)}
     for s in range(4):
-        c = stage_channels(cfg, s)
+        c, hidden = stage_channels(cfg, s), cfg.ffn_ratio * stage_channels(cfg, s)
+        agg_shapes = agg.param_shapes(cfg.aggregator, c, cfg.window, stage_groups(cfg, s)[1],
+                                      stage_heads(cfg, s), cfg.mlp_ratio)
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            w(f"stage{s}.msg_init", (cfg.messenger_count, c))
+            shapes[f"stage{s}.msg_init"] = (cfg.messenger_count, c)
         for i in range(cfg.depths[s]):
             prefix = f"stage{s}.block{i}"
-            norm(f"{prefix}.norm1", c)
-            _, gs = stage_groups(cfg, s)
-            heads = stage_heads(cfg, s)
-            ap = init_aggregator(cfg.aggregator, c, cfg.window, gs=gs, heads=heads,
-                                 rho=cfg.mlp_ratio, seed=int(rng.integers(2 ** 63)),
-                                 dtype=dtype)
-            for name, t in ap.tensors():
-                params[f"{prefix}.agg.{name}"] = t
-            norm(f"{prefix}.norm2", c)
-            hidden = cfg.ffn_ratio * c
-            w(f"{prefix}.ffn.w1", (hidden, c))
-            zeros(f"{prefix}.ffn.b1", (hidden,))
-            w(f"{prefix}.ffn.w2", (c, hidden))
-            zeros(f"{prefix}.ffn.b2", (c,))
+            shapes |= norm(f"{prefix}.norm1", c)
+            shapes |= {f"{prefix}.agg.{name}": shape for name, shape in agg_shapes.items()}
+            shapes |= norm(f"{prefix}.norm2", c)
+            shapes |= {f"{prefix}.ffn.w1": (hidden, c), f"{prefix}.ffn.b1": (hidden,),
+                       f"{prefix}.ffn.w2": (c, hidden), f"{prefix}.ffn.b2": (c,)}
             if cfg.comm == "MSG" and comm_active(cfg, i):
-                w(f"{prefix}.msg.collect.w", (c, c))
-                zeros(f"{prefix}.msg.collect.b", (c,))
-                w(f"{prefix}.msg.distribute.w", (c, c))
-                zeros(f"{prefix}.msg.distribute.b", (c,))
+                for part in ("collect", "distribute"):
+                    shapes |= {f"{prefix}.msg.{part}.w": (c, c),
+                               f"{prefix}.msg.{part}.b": (c,)}
         if s < 3:
-            norm(f"merge{s}.norm", 4 * c)
-            w(f"merge{s}.reduce.w", (2 * c, 4 * c))
-
+            shapes |= norm(f"merge{s}.norm", 4 * c)
+            shapes[f"merge{s}.reduce.w"] = (2 * c, 4 * c)
     c3 = stage_channels(cfg, 3)
-    norm("head.norm", c3)
-    w("head.w", (cfg.classes, c3))
-    zeros("head.b", (cfg.classes,))
+    return shapes | norm("head.norm", c3) | {"head.w": (cfg.classes, c3),
+                                             "head.b": (cfg.classes,)}
+
+
+def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
+    """Instantiate every parameter of the configured model, in ``table_shapes``
+    order from one seeded generator, so identical (config, seed) pairs give
+    bit-identical tables. Weights (``msg_init`` and last parts starting with
+    ``w``) are truncated normal, norm gains ``.g`` one, the rest zero; each
+    aggregator draws from its own generator seeded by the main one.
+    """
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    agg_prefix = None
+    for name, shape in table_shapes(cfg).items():
+        prefix, _, leaf = name.rpartition(".")
+        if prefix.endswith(".agg") and prefix != agg_prefix:
+            agg_prefix, agg_rng = prefix, np.random.default_rng(int(rng.integers(2 ** 63)))
+        if leaf.startswith("w") or leaf == "msg_init":
+            params[name] = trunc_normal(agg_rng if prefix == agg_prefix else rng, shape,
+                                        dtype=dtype)
+        elif leaf == "g":
+            params[name] = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+        else:
+            params[name] = zeros_param(shape, dtype)
     return Model(config=cfg, params=params, dtype=np.dtype(dtype))
 
 
@@ -400,8 +400,9 @@ def load_model(path) -> Model:
 
     Training checkpoints also hold optimizer moments (``opt.*`` records);
     they are skipped. Other JSON keys (``train``, ``extra``) are ignored.
-    A table whose element count differs from the config's, such as a file
-    cut on a record boundary, raises CheckpointError.
+    A parameter record that is missing, unknown or of the wrong shape for
+    ``table_shapes`` of the config, such as in a file cut on a record
+    boundary, raises CheckpointError naming the file and the record.
     """
     return _model_from_checkpoint(path, *load_checkpoint(path))
 
@@ -412,13 +413,10 @@ def _model_from_checkpoint(path, blob: dict, tensors: dict[str, np.ndarray]) -> 
     cfg = ModelConfig.from_dict(blob["model"])
     params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()
               if not k.startswith("opt.")}
-    if not params:
-        raise CheckpointError(f"{path}: no parameter records")
-    from .analytics import count_params  # analytics imports this module
-
-    model = Model(config=cfg, params=params, dtype=next(iter(params.values())).data.dtype)
-    expected = count_params(cfg).total_params
-    if model.param_count() != expected:
-        raise CheckpointError(f"{path}: {len(params)} parameter records hold "
-                              f"{model.param_count()} values; the config needs {expected}")
-    return model
+    expected, got = table_shapes(cfg), {k: v.shape for k, v in params.items()}
+    for name in [*expected, *got]:
+        if got.get(name) != expected.get(name):
+            raise CheckpointError(f"{path}: record {name!r}: the file has "
+                                  f"{got.get(name, 'none')}, the config needs "
+                                  f"{expected.get(name, 'none')}")
+    return Model(config=cfg, params=params, dtype=next(iter(params.values())).data.dtype)

@@ -133,6 +133,13 @@ def _adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> N
     state.model = state.model.replace_params(new_params)
 
 
+def _check_labels(labels: np.ndarray, classes: int, what: str) -> None:
+    """Raise ValueError naming the first label outside [0, classes)."""
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValueError(f"{what} {int(bad[0])} out of range for {classes} classes")
+
+
 def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> tuple[float, float]:
     """Top-1 accuracy and mean cross-entropy over a dataset split.
@@ -140,10 +147,7 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
     Raises ValueError when a label lies outside [0, classes).
     """
     labels = np.asarray(labels)
-    classes = model.config.classes
-    bad = labels[(labels < 0) | (labels >= classes)]
-    if bad.size:
-        raise ValueError(f"label {int(bad[0])} out of range for {classes} classes")
+    _check_labels(labels, model.config.classes, "label")
     n = images.shape[0]
     correct = 0
     losses = np.empty(n, dtype=np.float64)
@@ -168,8 +172,10 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
     pauses earlier than hp.steps while keeping the full-run schedule (the
     warmup/cosine shape depends on hp.steps, not on where you pause). A
     non-finite loss aborts with DivergenceError after writing the last-good
-    checkpoint (when out_dir is given).
+    checkpoint (when out_dir is given). A training label outside
+    [0, classes) raises ValueError before the first step.
     """
+    _check_labels(data.train_labels, cfg.classes, "training label")
     if state is None:
         model = build_model(cfg, seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed + 1))

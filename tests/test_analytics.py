@@ -174,6 +174,17 @@ class TestFlopsOracle:
         res = (30, 44)  # forces stem and window padding
         assert flops_oracle(cfg, res) == count_flops(cfg, res).total_flops
 
+    @pytest.mark.parametrize("agg", ["Linear", "DWLinear", "MLP", "MHSA"])
+    def test_oracle_draws_no_weights(self, agg, monkeypatch):
+        # MACs depend only on shapes; the oracle runs on a zero table
+        def no_draws(*args, **kwargs):
+            raise AssertionError("flops_oracle drew a weight")
+
+        monkeypatch.setattr("winmix.aggregators.trunc_normal", no_draws)
+        monkeypatch.setattr("winmix.model.trunc_normal", no_draws)
+        cfg = dataclasses.replace(DESK, aggregator=agg, comm="MSG")
+        assert flops_oracle(cfg, 32) == count_flops(cfg, 32).total_flops
+
     def test_single_axial_layer_hand_count(self):
         # one window, ws=2, gs=1, C=2: axial 2*(C/gs)*ws*(gs*ws)^2, proj C^2*ws^2
         from winmix.aggregators import axial_forward, init_aggregator

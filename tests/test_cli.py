@@ -36,6 +36,15 @@ class TestDescribe:
         assert json.loads(out)["config"]["width"] == 16
 
 
+@pytest.mark.parametrize("cmd", ["describe", "count"])
+def test_config_value_of_wrong_type_exits_1(capsys, tmp_path, cmd):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(preset("toy-desk").to_dict() | {"width": "8"}))
+    code, out, err = run_cli(capsys, cmd, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "'width' must be int" in err
+
+
 class TestCount:
     def test_tiny_lands_near_paper_value(self, capsys):
         code, out, _ = run_cli(capsys, "count", "swin-linmapper-tiny")
@@ -165,6 +174,63 @@ class TestTrainEvalBench:
                                  "--data", str(tmp_path / "data.json"))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "bogus" in err
+
+    def test_hp_value_of_wrong_type_exits_1(self, capsys, artifacts, tmp_path):
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"steps": "2"}))
+        code, out, err = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),
+                                 "--hp", str(hp), "--data", str(artifacts / "data.json"),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'steps' must be int" in err
+
+    def test_data_value_of_wrong_type_exits_1(self, capsys, tmp_path):
+        save_model(tmp_path / "m.wmix", build_model(preset("toy-desk"), seed=0))
+        (tmp_path / "data.json").write_text(json.dumps({"n_train": "16"}))
+        code, out, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "m.wmix"),
+                                 "--data", str(tmp_path / "data.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'n_train' must be int" in err
+
+    @pytest.mark.parametrize("defect", ["truncated header", "trailing bytes",
+                                        "training label 5"])
+    def test_bad_training_wdat_exits_1(self, capsys, artifacts, tmp_path, defect):
+        ds = gen_dataset(DatasetSpec(n_train=16, n_val=8, size=16))
+        if defect == "training label 5":
+            ds.train_labels[3] = 5  # toy-desk has 4 classes
+        ds.save_wdat(tmp_path / "train.wdat", tmp_path / "val.wdat")
+        raw = (tmp_path / "train.wdat").read_bytes()
+        if defect == "truncated header":
+            raw = raw[:7]
+        elif defect == "trailing bytes":
+            raw += b"\x00\x00\x00"
+        (tmp_path / "train.wdat").write_bytes(raw)
+        code, out, err = run_cli(capsys, "train", "--config", "toy-desk",
+                                 "--hp", str(artifacts / "hp.json"),
+                                 "--data", str(tmp_path / "train.wdat"),
+                                 "--val-data", str(tmp_path / "val.wdat"),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and defect in err
+        assert not (tmp_path / "run" / "last_good.wmix").exists()
+
+    @pytest.mark.parametrize("edit", ["renamed", "transposed"])
+    def test_model_table_mismatch_exits_1(self, capsys, tmp_path, edit):
+        from winmix.io import save_checkpoint
+        model = build_model(preset("toy-desk"), seed=0)
+        tensors = {k: t.numpy() for k, t in model.params.items()}
+        if edit == "renamed":
+            record = "stage2.block0.agg.w_p"
+            tensors["stage2.block0.agg.w_z"] = tensors.pop(record)
+        else:
+            record = "stage0.block0.ffn.w1"
+            tensors[record] = np.ascontiguousarray(tensors[record].T)
+        save_checkpoint(tmp_path / "bad.wmix", {"model": model.config.to_dict()}, tensors)
+        (tmp_path / "data.json").write_text(json.dumps(DatasetSpec(n_val=8).to_dict()))
+        code, out, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "bad.wmix"),
+                                 "--data", str(tmp_path / "data.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "bad.wmix" in err and repr(record) in err
 
     def test_model_file_cut_on_record_boundary_exits_1(self, capsys, tmp_path):
         model = build_model(preset("toy-desk"), seed=0)

@@ -91,6 +91,14 @@ class TestGeneration:
         with pytest.raises(ValueError, match="JSON object"):
             DatasetSpec.from_dict("n_train")
 
+    def test_spec_from_dict_checks_value_types(self):
+        spec = DatasetSpec.from_dict({"noise": 0, "height": None, "mode": "seam-phase"})
+        assert (spec.noise, spec.height) == (0, None)
+        for bad in ({"n_train": "16"}, {"n_train": False}, {"height": "8"}, {"mode": 2},
+                    {"noise": "0.1"}):
+            with pytest.raises(ValueError, match=f"'{next(iter(bad))}' must be"):
+                DatasetSpec.from_dict(bad)
+
     def test_spec_without_height_loads_square(self):
         d = DatasetSpec(seed=2).to_dict()
         del d["height"]
@@ -136,4 +144,22 @@ class TestWdat:
                   np.zeros(2, dtype=np.uint16))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(CheckpointError):
+            load_wdat(path)
+
+    @pytest.mark.parametrize("size", [4, 7, 13])
+    def test_short_header_rejected(self, tmp_path, size):
+        path = tmp_path / "d.wdat"
+        save_wdat(path, np.zeros((2, 4, 4, 3), dtype=np.uint8),
+                  np.zeros(2, dtype=np.uint16))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(CheckpointError, match="truncated header"):
+            load_wdat(path)
+
+    @pytest.mark.parametrize("extra", [1, 2, 100])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        path = tmp_path / "d.wdat"
+        save_wdat(path, np.zeros((2, 4, 4, 3), dtype=np.uint8),
+                  np.zeros(2, dtype=np.uint16))
+        path.write_bytes(path.read_bytes() + b"\x00" * extra)
+        with pytest.raises(CheckpointError, match=f"{extra} trailing bytes"):
             load_wdat(path)

@@ -6,6 +6,7 @@ import pytest
 
 from winmix import model as M
 from winmix import tensor as T
+from winmix.analytics import count_params
 from winmix.model import ConfigError, ModelConfig, build_model, forward, preset
 from winmix.tensor import Tensor
 
@@ -78,6 +79,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"width": 8, "depths": [1, 1, 1, 1], "bogus": 1})
 
+    @pytest.mark.parametrize("key, value", [
+        ("width", "8"), ("width", True), ("width", 8.0), ("depths", [1, "1", 1, 1]),
+        ("depths", 4), ("aggregator", 1), ("layout_faithful", 1)])
+    def test_from_dict_checks_value_types(self, key, value):
+        d = preset("toy-desk").to_dict() | {key: value}
+        with pytest.raises(ConfigError, match=f"'{key}' must be"):
+            ModelConfig.from_dict(d)
+
 
 class TestBuild:
     def test_same_seed_bit_identical(self):
@@ -103,23 +112,48 @@ class TestBuild:
         assert not any(n.startswith("stage0.block0.msg") for n in names)
 
     # sha256 over (name, shape, bytes) of each toy-desk table at seed 0; a
-    # change to the parameter names, shapes or draw order changes the digest
+    # change to the parameter names, shapes or draw order changes the digest.
+    # MSG is the only comm scheme that adds weights (messenger init, collect
+    # and distribute maps), so it gets its own digests.
     FROZEN_TABLE_DIGESTS = {
-        "Linear": "bee7d20d23f5cdd79ed62e9c4f70a7c55fabd4a168b587fbbf74dcb5df14ac0f",
-        "DWLinear": "b27e071e04200c3a330eb3131e28aed82ba69479ef36a1e0a78fa3a5804a510d",
-        "MLP": "1e60d9410cd963e5149aa197d8f44a9db6f275d2e3fd507a4e57c1c358120b14",
-        "MHSA": "e2ba8faffb0b82c849c7d65a67d3cac0d4440cd5c9c1d883889cd2fad0d98b6c",
+        ("Linear", "Shift"): "bee7d20d23f5cdd79ed62e9c4f70a7c55fabd4a168b587fbbf74dcb5df14ac0f",
+        ("DWLinear", "Shift"): "b27e071e04200c3a330eb3131e28aed82ba69479ef36a1e0a78fa3a5804a510d",
+        ("MLP", "Shift"): "1e60d9410cd963e5149aa197d8f44a9db6f275d2e3fd507a4e57c1c358120b14",
+        ("MHSA", "Shift"): "e2ba8faffb0b82c849c7d65a67d3cac0d4440cd5c9c1d883889cd2fad0d98b6c",
+        ("Linear", "MSG"): "887a46c10bd7674450c40af0bdab645787b1116f1cb03a895e87b9097fc2fe55",
+        ("DWLinear", "MSG"): "b13b8216e38b99a5c4f14701567a3911bcf6906a1b110ec408eaf4e695b31f7a",
+        ("MLP", "MSG"): "4fba39d82245ce2ec789d165b6e1816df260bdd9700de43bc47c25b5854622f6",
+        ("MHSA", "MSG"): "2cc13eee30685f1ffbc15d485bf2aa63f109ff6070dbb824845b3fb7722f1208",
     }
 
-    @pytest.mark.parametrize("kind", sorted(FROZEN_TABLE_DIGESTS))
-    def test_init_digest_frozen(self, kind):
-        m = build_model(dataclasses.replace(preset("toy-desk"), aggregator=kind), seed=0)
+    @pytest.mark.parametrize("kind, comm", [
+        pytest.param(kind, comm, id=kind if comm == "Shift" else f"{kind}-{comm}")
+        for kind, comm in sorted(FROZEN_TABLE_DIGESTS)])
+    def test_init_digest_frozen(self, kind, comm):
+        cfg = dataclasses.replace(preset("toy-desk"), aggregator=kind, comm=comm)
+        m = build_model(cfg, seed=0)
         h = hashlib.sha256()
         for name, t in m.params.items():
             h.update(name.encode())
             h.update(repr(t.shape).encode())
             h.update(t.numpy().tobytes())
-        assert h.hexdigest() == self.FROZEN_TABLE_DIGESTS[kind]
+        assert h.hexdigest() == self.FROZEN_TABLE_DIGESTS[kind, comm]
+
+
+class TestTableShapes:
+    @pytest.mark.parametrize("name", sorted(M.PRESETS))
+    def test_total_equals_count_params(self, name):
+        # no model is built, so the paper-scale presets are covered too
+        cfg = preset(name)
+        total = sum(int(np.prod(shape)) for shape in M.table_shapes(cfg).values())
+        assert total == count_params(cfg).total_params
+
+    @pytest.mark.parametrize("comm", M.COMM_KINDS)
+    @pytest.mark.parametrize("kind", ["Linear", "DWLinear", "MLP", "MHSA"])
+    def test_names_shapes_and_order_match_built_table(self, kind, comm):
+        cfg = dataclasses.replace(preset("toy-desk"), aggregator=kind, comm=comm)
+        built = build_model(cfg, seed=0).params
+        assert list(M.table_shapes(cfg).items()) == [(k, t.shape) for k, t in built.items()]
 
 
 class TestPatchEmbed:
@@ -374,6 +408,24 @@ class TestCheckpoint:
         loaded = M.load_model(path)
         assert list(loaded.params) == list(m.params)
         assert loaded.param_count() == m.param_count()
+
+    @pytest.mark.parametrize("edit", ["renamed", "transposed"])
+    def test_table_mismatch_names_file_and_record(self, tmp_path, edit):
+        # both edits keep the element count, so only the table check sees them
+        from winmix.io import CheckpointError, save_checkpoint
+        m = build_model(preset("toy-desk"), seed=0)
+        tensors = {k: t.numpy() for k, t in m.params.items()}
+        if edit == "renamed":
+            record = "stage2.block0.agg.w_p"
+            tensors = {("stage2.block0.agg.w_q" if k == record else k): v
+                       for k, v in tensors.items()}
+        else:
+            record = "stage0.block0.ffn.w1"
+            tensors[record] = np.ascontiguousarray(tensors[record].T)
+        path = tmp_path / f"{edit}.wmix"
+        save_checkpoint(path, {"model": m.config.to_dict()}, tensors)
+        with pytest.raises(CheckpointError, match=rf"{edit}\.wmix: record '{record}'"):
+            M.load_model(path)
 
     def test_magic_checked(self, tmp_path):
         from winmix.io import CheckpointError

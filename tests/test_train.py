@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import struct
@@ -60,6 +61,15 @@ class TestSchedule:
         with pytest.raises(ValueError, match="JSON object"):
             Hyperparams.from_dict([2])
 
+    def test_from_dict_checks_value_types(self):
+        # a JSON int fits a float field; a bool is not an int
+        assert Hyperparams.from_dict({"lr": 1, "target_accuracy": None}).lr == 1
+        assert Hyperparams.from_dict({"target_accuracy": 0.5}).target_accuracy == 0.5
+        for bad in ({"steps": "2"}, {"steps": True}, {"steps": 2.0},
+                    {"lr": "0.1"}, {"target_accuracy": "high"}):
+            with pytest.raises(ValueError, match=f"'{next(iter(bad))}' must be"):
+                Hyperparams.from_dict(bad)
+
 
 class TestLoss:
     def test_uniform_logits_loss_is_log_k(self):
@@ -80,6 +90,20 @@ class TestLoss:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("bad", [-1, 4, 7])
+    def test_out_of_range_training_label_rejected_before_step_1(self, small_data, bad,
+                                                                 monkeypatch):
+        labels = small_data.train_labels.copy()
+        labels[[5, 9]] = bad, 9
+        data = dataclasses.replace(small_data, train_labels=labels)
+
+        def no_steps(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(importlib.import_module("winmix.train"), "forward", no_steps)
+        with pytest.raises(ValueError, match=f"training label {bad} out of range for 4"):
+            train(CFG, data, Hyperparams(steps=2), seed=0)
+
     def test_lr_zero_keeps_parameters(self, small_data):
         hp = Hyperparams(lr=0.0, steps=5, eval_every=5)
         before = {k: t.numpy().copy() for k, t in build_model(CFG, seed=0).params.items()}
