@@ -15,6 +15,14 @@ elements (``reshape``, ``transpose``, ``roll``, ``index_select``,
 ``broadcast_to``, ``pad_hw``, ``crop_hw``, ``neg``) are not scanned: they
 cannot turn finite inputs into NaN or Inf, and a NaN passed through them is
 caught by the next arithmetic op.
+
+Ops run once per layer forward and again backward, mostly on small arrays,
+so hot ops keep per-call overhead down: shape arithmetic stays in plain
+Python (``math.prod``, a Python inverse permutation), they call ndarray
+methods and ufuncs instead of numpy's wrapper functions (``np.pad``,
+``np.transpose``, ``x.var``), and they do not copy a result whose dtype
+already matches. Each such shortcut computes the same bits as the wrapper it
+replaces, in the same order.
 """
 
 from __future__ import annotations
@@ -212,7 +220,7 @@ _DATA_MOVEMENT_OPS = frozenset(
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _finite_checks and op not in _DATA_MOVEMENT_OPS and not np.all(np.isfinite(arr)):
+    if _finite_checks and op not in _DATA_MOVEMENT_OPS and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -307,8 +315,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if _mac_counters:
         m, k = a.shape[-2], a.shape[-1]
         n = b.shape[-1]
-        batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
-        _record_macs(batch * m * k * n)
+        _record_macs(math.prod(out.shape[:-2]) * m * k * n)
 
     def back(g):
         ga = _reduce_to(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
@@ -352,24 +359,24 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape {a.shape} -> {shape} changes element count")
-    new = np.reshape(a.data, shape)  # view when layout permits
+    new = a.data.reshape(shape)  # view when layout permits
     old_shape = a.shape
 
     def back(g):
-        return (np.reshape(g, old_shape),)
+        return (g.reshape(old_shape),)
 
     return _make(new, (a,), back, "reshape")
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def back(g):
-        return (np.transpose(g, inv),)
+        return (g.transpose(inv),)
 
-    return _make(np.transpose(a.data, axes), (a,), back, "transpose")
+    return _make(a.data.transpose(axes), (a,), back, "transpose")
 
 
 def roll(a: Tensor, shifts: tuple[int, ...], axes: tuple[int, ...]) -> Tensor:
@@ -407,23 +414,26 @@ def pad_hw(a: Tensor, pad_h: int, pad_w: int) -> Tensor:
     """Zero-pad axes 1 (height) and 2 (width) of a (B, H, W, C) tensor."""
     if pad_h == 0 and pad_w == 0:
         return a
-    widths = [(0, 0), (0, pad_h), (0, pad_w), (0, 0)]
-    h, w = a.shape[1], a.shape[2]
+    b, h, w, c = a.shape
+    out = np.zeros((b, h + pad_h, w + pad_w, c), dtype=a.data.dtype)
+    out[:, :h, :w] = a.data
 
     def back(g):
         return (g[:, :h, :w, :],)
 
-    return _make(np.pad(a.data, widths), (a,), back, "pad_hw")
+    return _make(out, (a,), back, "pad_hw")
 
 
 def crop_hw(a: Tensor, h: int, w: int) -> Tensor:
     """Keep the top-left (h, w) region of a (B, H, W, C) tensor."""
     if h == a.shape[1] and w == a.shape[2]:
         return a
-    ph, pw = a.shape[1] - h, a.shape[2] - w
+    shape = a.shape
 
     def back(g):
-        return (np.pad(g, [(0, 0), (0, ph), (0, pw), (0, 0)]),)
+        full = np.zeros(shape, dtype=g.dtype)
+        full[:, :h, :w] = g
+        return (full,)
 
     return _make(a.data[:, :h, :w, :].copy(), (a,), back, "crop_hw")
 
@@ -449,7 +459,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = a.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([a.shape[ax] for ax in axes]))
+        count = math.prod(a.shape[ax] for ax in axes)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     shape = a.shape
 
@@ -471,11 +481,19 @@ def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = a.data
     phi = _sp.ndtr(x)
-    out = (x * phi).astype(x.dtype)
+    out = (x * phi).astype(x.dtype, copy=False)
 
     def back(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return ((g * (phi + x * pdf)).astype(x.dtype),)
+        # g * (phi + x * pdf) on one temporary; each product and sum keeps
+        # its operands, so the bits match the out-of-place expression
+        t = -0.5 * x
+        t *= x
+        np.exp(t, out=t)
+        t *= _INV_SQRT2PI
+        t *= x
+        t += phi
+        t *= g
+        return (t.astype(x.dtype, copy=False),)
 
     return _make(out, (a,), back, "gelu")
 
@@ -491,7 +509,7 @@ def softmax_last_axis(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return ((g - dot) * out,)
 
-    return _make(out.astype(x.dtype), (a,), back, "softmax")
+    return _make(out.astype(x.dtype, copy=False), (a,), back, "softmax")
 
 
 def log_softmax_last_axis(a: Tensor) -> Tensor:
@@ -504,7 +522,14 @@ def log_softmax_last_axis(a: Tensor) -> Tensor:
     def back(g):
         return (g - soft * g.sum(axis=-1, keepdims=True),)
 
-    return _make(out.astype(x.dtype), (a,), back, "log_softmax")
+    return _make(out.astype(x.dtype, copy=False), (a,), back, "log_softmax")
+
+
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` as numpy's ``_mean`` computes it:
+    one add-reduce, then an unsafe-cast divide by the count as ``intp``."""
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -513,23 +538,18 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if eps <= 0:
         raise ShapeError("layer_norm eps must be > 0")
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    out = (xhat * gamma.data + beta.data).astype(x.dtype)
+    d = x - _mean_last(x)  # x.var squares this same difference
+    inv = 1.0 / np.sqrt(_mean_last(np.square(d)) + eps)
+    xhat = d * inv
+    out = (xhat * gamma.data + beta.data).astype(x.dtype, copy=False)
     n = x.shape[-1]
 
     def back(g):
         dgamma = (g * xhat).reshape(-1, n).sum(axis=0)
         dbeta = g.reshape(-1, n).sum(axis=0)
         dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx.astype(x.dtype), dgamma.astype(x.dtype), dbeta.astype(x.dtype)
+        dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+        return tuple(t.astype(x.dtype, copy=False) for t in (dx, dgamma, dbeta))
 
     return _make(out, (a, gamma, beta), back, "layer_norm")
 

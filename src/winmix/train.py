@@ -271,7 +271,8 @@ def save_state(path, state: TrainState) -> None:
 
 def load_state(path) -> TrainState:
     """Read a ``save_state`` checkpoint back; raises CheckpointError when the
-    file holds no training state or its moments do not match its parameters."""
+    file holds no training state or its moments do not match its parameters
+    in name or shape (the parameters were checked against ``table_shapes``)."""
     blob, tensors = load_checkpoint(path)
     model = _model_from_checkpoint(path, blob, tensors)
     if "train" not in blob:
@@ -281,6 +282,11 @@ def load_state(path) -> TrainState:
     v = {k[len("opt.v."):]: a for k, a in tensors.items() if k.startswith("opt.v.")}
     if set(m) != set(model.params) or set(v) != set(model.params):
         raise CheckpointError(f"{path}: optimizer moments do not match the parameters")
+    for kind, moments in (("m", m), ("v", v)):
+        for k, a in moments.items():
+            if a.shape != model.params[k].shape:
+                raise CheckpointError(f"{path}: optimizer moment 'opt.{kind}.{k}' has shape "
+                                      f"{a.shape}, the parameter needs {model.params[k].shape}")
     return TrainState(
         model=model,
         m=m,

@@ -5,6 +5,8 @@ avoiding the library's tensor/geometry code paths, so agreement between the
 two routes is meaningful.
 """
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -147,3 +149,37 @@ def layer_norm_ref(x, gamma, beta, eps):
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gamma + beta
+
+
+# Composed numpy formulas that the tensor layer's fast paths must reproduce
+# bit for bit, not merely within a tolerance.
+
+
+def layer_norm_composed(x, gamma, beta, eps, g):
+    """Output and (dx, dgamma, dbeta) for upstream gradient ``g``, through
+    ``x.mean``/``x.var`` and out-of-place arithmetic."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = (xhat * gamma + beta).astype(x.dtype)
+    n = x.shape[-1]
+    dgamma = (g * xhat).reshape(-1, n).sum(axis=0)
+    dbeta = g.reshape(-1, n).sum(axis=0)
+    dxhat = g * gamma
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return out, dx.astype(x.dtype), dgamma.astype(x.dtype), dbeta.astype(x.dtype)
+
+
+def gelu_grad_composed(x, g):
+    """``g * (phi + x * pdf)`` with the pdf as ``exp(-x²/2) * (1/sqrt(2π))``."""
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))  # a weak Python float
+    return (g * (special.ndtr(x) + x * pdf)).astype(x.dtype)
+
+
+def pad_hw_np(x, pad_h, pad_w):
+    return np.pad(x, [(0, 0), (0, pad_h), (0, pad_w), (0, 0)])

@@ -6,6 +6,7 @@ import pytest
 from winmix.cli import cli_main
 from winmix.data import DatasetSpec, gen_dataset
 from winmix.model import build_model, preset, save_model
+from winmix.train import load_state, save_state
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +158,19 @@ class TestTrainEvalBench:
         code, _, _ = run_cli(capsys, *common, "--hp", str(artifacts / "hp.json"),
                              "--resume", ckpt)
         assert code == 0
+
+    def test_resume_with_misshapen_moment_exits_1(self, capsys, artifacts, tmp_path):
+        common = ["train", "--config", str(artifacts / "cfg.json"),
+                  "--data", str(artifacts / "data.json"), "--hp", str(artifacts / "hp.json"),
+                  "--out", str(tmp_path / "run")]
+        code, _, _ = run_cli(capsys, *common)
+        assert code == 0
+        state = load_state(tmp_path / "run" / "last_good.wmix")
+        state.m["stage0.block0.ffn.w1"] = state.m["stage0.block0.ffn.w1"].T
+        save_state(tmp_path / "bad.wmix", state)
+        code, out, err = run_cli(capsys, *common, "--resume", str(tmp_path / "bad.wmix"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "'opt.m.stage0.block0.ffn.w1'" in err
 
     def test_unknown_hp_key_exits_1(self, capsys, artifacts, tmp_path):
         hp = tmp_path / "hp.json"

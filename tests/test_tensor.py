@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winmix import tensor as T
 from winmix.tensor import (
@@ -12,7 +14,15 @@ from winmix.tensor import (
     gradients,
 )
 
-from oracles import gelu_ref, layer_norm_ref, matmul_loops, softmax_ref
+from oracles import (
+    gelu_grad_composed,
+    gelu_ref,
+    layer_norm_composed,
+    layer_norm_ref,
+    matmul_loops,
+    pad_hw_np,
+    softmax_ref,
+)
 
 
 def t64(arr, grad=False):
@@ -184,6 +194,13 @@ class TestReshape:
         with pytest.raises(ShapeError):
             T.reshape(t64(np.zeros((2, 3))), (4, 2))
 
+    @pytest.mark.parametrize("shape", [(np.int64(4), np.int64(2)), (np.intp(7),),
+                                       (np.int32(2), 3, np.int64(2))],
+                             ids=["int64", "intp", "mixed"])
+    def test_element_count_mismatch_with_numpy_ints(self, shape):
+        with pytest.raises(ShapeError):
+            T.reshape(t64(np.zeros((2, 3))), shape)
+
     def test_zero_copy_reinterpretation(self):
         t = t64(np.zeros((4, 6)))
         v = T.reshape(t, (2, 12))
@@ -200,6 +217,16 @@ class TestFiniteChecks:
         out = T.log_softmax_last_axis(t64([1000.0, 0.0]))
         assert np.isfinite(out.numpy()).all()
 
+    @pytest.mark.parametrize("op,name", [
+        (lambda t: T.layer_norm(t, t64(np.ones(4)), t64(np.zeros(4))), "layer_norm"),
+        (T.gelu, "gelu"),
+    ], ids=["layer_norm", "gelu"])
+    def test_nan_input_raises_naming_the_op(self, op, name):
+        x = np.zeros((2, 4))
+        x[1, 3] = np.nan
+        with pytest.raises(NumericError, match=f"'{name}'"):
+            op(t64(x))
+
 
 class TestDataMovementNotScanned:
     """Ops that only move elements skip the scan; the next arithmetic op
@@ -207,15 +234,92 @@ class TestDataMovementNotScanned:
 
     @pytest.mark.parametrize("move", [
         lambda t: T.reshape(t, (4, 3)),
-        lambda t: T.transpose(t, (1, 0)),
-    ], ids=["reshape", "transpose"])
+        lambda t: T.transpose(t, (3, 2, 1, 0)),
+        lambda t: T.pad_hw(t, 1, 2),
+        lambda t: T.crop_hw(t, 2, 3),
+    ], ids=["reshape", "transpose", "pad_hw", "crop_hw"])
     def test_nan_caught_by_next_arithmetic_op(self, move):
-        x = np.zeros((3, 4))
-        x[1, 2] = np.nan
+        x = np.zeros((1, 3, 4, 1))
+        x[0, 1, 2, 0] = np.nan
         moved = move(t64(x))
         assert np.isnan(moved.numpy()).sum() == 1
         with pytest.raises(NumericError, match="'add'"):
             T.add(moved, 1.0)
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _pull_back(fn, arrays, g):
+    """``fn`` on leaves of ``arrays`` and their gradients for upstream ``g``;
+    the loss sum(out * g) hands ``g`` to ``fn``'s backward unchanged."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = fn(*leaves)
+    backward(T.tsum(T.mul(out, Tensor(g))))
+    return out.numpy(), [t.grad for t in leaves]
+
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+
+
+class TestBitIdenticalToComposedFormulas:
+    """The fast paths give the same bytes as the composed numpy expressions
+    in oracles.py, not only values within a tolerance."""
+
+    @DTYPES
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("channels", [1, 3, 16, 96])
+    def test_layer_norm(self, dtype, rank, channels):
+        rng = np.random.default_rng(channels * 10 + rank)
+        shape = (2, 3, 5)[:rank - 1] + (channels,)
+        x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+        gamma, beta = (rng.standard_normal(channels).astype(dtype) for _ in range(2))
+        g = rng.standard_normal(shape).astype(dtype)
+        out, grads = _pull_back(T.layer_norm, [x, gamma, beta], g)
+        want = layer_norm_composed(x, gamma, beta, 1e-5, g)
+        for got, ref in zip([out, *grads], want):
+            _same_bits(got, ref)
+
+    @DTYPES
+    def test_gelu(self, dtype):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([np.linspace(-9, 9, 181), rng.standard_normal(300) * 3]).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        out, (dx,) = _pull_back(T.gelu, [x], g)
+        _same_bits(out, gelu_ref(x).astype(dtype))
+        _same_bits(dx, gelu_grad_composed(x, g))
+
+    @DTYPES
+    @pytest.mark.parametrize("ph,pw", [(0, 3), (2, 0), (1, 2)])
+    def test_pad_and_crop(self, dtype, ph, pw):
+        rng = np.random.default_rng(ph * 4 + pw)
+        x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+        x[0, 0, 0, 0] = -0.0
+        g = rng.standard_normal((2, 3 + ph, 5 + pw, 4)).astype(dtype)
+        out, (dx,) = _pull_back(lambda t: T.pad_hw(t, ph, pw), [x], g)
+        _same_bits(out, pad_hw_np(x, ph, pw))
+        _same_bits(dx, g[:, :3, :5])
+        big = pad_hw_np(x, ph, pw) + 1
+        out, (dbig,) = _pull_back(lambda t: T.crop_hw(t, 3, 5), [big], g[:, :3, :5])
+        _same_bits(out, big[:, :3, :5])
+        _same_bits(dbig, pad_hw_np(g[:, :3, :5], ph, pw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda r: st.tuples(
+    st.lists(st.integers(1, 3), min_size=r, max_size=r), st.permutations(range(r)))))
+def test_transpose_gradient_round_trips(shape_perm):
+    shape, perm = shape_perm
+    x = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    t = t64(x, grad=True)
+    y = T.transpose(t, tuple(perm))
+    inv = tuple(int(i) for i in np.argsort(perm))
+    np.testing.assert_array_equal(T.transpose(y, inv).numpy(), x)
+    g = np.random.default_rng(len(shape)).standard_normal(y.shape)
+    backward(T.tsum(T.mul(y, Tensor(g))))
+    _same_bits(t.grad, np.transpose(g, inv))
 
 
 class TestBackward:

@@ -295,6 +295,25 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match="moments"):
             load_state(tmp_path / "short.wmix")
 
+    def test_transposed_moment_names_file_and_record(self, toy_checkpoint, tmp_path):
+        state = toy_checkpoint[0]
+        m = dict(state.m)
+        m["stage0.block0.ffn.w1"] = m["stage0.block0.ffn.w1"].T  # (64, 16) -> (16, 64)
+        save_state(tmp_path / "transposed.wmix", dataclasses.replace(state, m=m))
+        with pytest.raises(CheckpointError, match=r"transposed\.wmix: optimizer moment "
+                           r"'opt\.m\.stage0\.block0\.ffn\.w1' has shape \(16, 64\)"):
+            load_state(tmp_path / "transposed.wmix")
+
+    def test_square_moment_swapped_with_another_record(self, toy_checkpoint, tmp_path):
+        state = toy_checkpoint[0]
+        v = dict(state.v)
+        a, b = "stage0.block0.agg.w_h", "stage0.block0.agg.w_p"  # (4, 4) and (16, 16)
+        v[a], v[b] = v[b], v[a]
+        save_state(tmp_path / "swapped.wmix", dataclasses.replace(state, v=v))
+        with pytest.raises(CheckpointError, match=r"'opt\.v\.stage0\.block0\.agg\.w_h' "
+                           r"has shape \(16, 16\), the parameter needs \(4, 4\)"):
+            load_state(tmp_path / "swapped.wmix")
+
     def test_model_file_is_not_a_training_checkpoint(self, toy_checkpoint, tmp_path):
         save_model(tmp_path / "m.wmix", toy_checkpoint[0].model)
         with pytest.raises(CheckpointError, match="not a training checkpoint"):
