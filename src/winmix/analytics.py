@@ -140,8 +140,9 @@ def _ceil_to(x: int, m: int) -> int:
     return -(-x // m) * m
 
 
-def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int] | None):
-    """Yield CostRow per layer; FLOPs filled only when a resolution is given.
+def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
+    """Yield CostRow per layer at a resolution; paths and parameter counts
+    do not depend on it.
 
     The grid bookkeeping mirrors the forward pass exactly: the stem pads the
     image to a multiple of 4, every block pads its grid to the window size
@@ -149,87 +150,66 @@ def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int] | None):
     """
     validate_config(cfg)
     ws = cfg.window
-    flops_on = resolution is not None
-    if flops_on:
-        h = _ceil_to(resolution[0], 4) // 4
-        w = _ceil_to(resolution[1], 4) // 4
-    else:
-        h = w = 0
+    h = _ceil_to(resolution[0], 4) // 4
+    w = _ceil_to(resolution[1], 4) // 4
 
     c0 = cfg.width
-    yield CostRow("stem.proj", 48 * c0 + c0, 48 * c0 * h * w if flops_on else None)
-    yield CostRow("stem.norm", 2 * c0, 0 if flops_on else None)
+    yield CostRow("stem.proj", 48 * c0 + c0, 48 * c0 * h * w)
+    yield CostRow("stem.norm", 2 * c0, 0)
 
     for s in range(4):
         c = stage_channels(cfg, s)
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            yield CostRow(f"stage{s}.msg_init", cfg.messenger_count * c,
-                          0 if flops_on else None)
-        if flops_on:
-            hp, wp = _ceil_to(h, ws), _ceil_to(w, ws)
-            tokens = hp * wp
-            windows = tokens // (ws * ws)
+            yield CostRow(f"stage{s}.msg_init", cfg.messenger_count * c, 0)
+        tokens = _ceil_to(h, ws) * _ceil_to(w, ws)
+        windows = tokens // (ws * ws)
+        agg = (_agg_param_count(cfg, s), windows * _agg_flops_per_window(cfg, s))
+        ffn = (2 * cfg.ffn_ratio * c * c + (cfg.ffn_ratio + 1) * c,
+               2 * cfg.ffn_ratio * c * c * tokens)
         for i in range(cfg.depths[s]):
             prefix = f"stage{s}.block{i}"
-            yield CostRow(f"{prefix}.norms", 4 * c, 0 if flops_on else None)
-            yield CostRow(
-                f"{prefix}.agg",
-                _agg_param_count(cfg, s),
-                windows * _agg_flops_per_window(cfg, s) if flops_on else None,
-            )
-            yield CostRow(
-                f"{prefix}.ffn",
-                2 * cfg.ffn_ratio * c * c + (cfg.ffn_ratio + 1) * c,
-                2 * cfg.ffn_ratio * c * c * tokens if flops_on else None,
-            )
+            yield CostRow(f"{prefix}.norms", 4 * c, 0)
+            yield CostRow(f"{prefix}.agg", *agg)
+            yield CostRow(f"{prefix}.ffn", *ffn)
             if cfg.comm == "MSG" and comm_active(cfg, i):
-                yield CostRow(f"{prefix}.msg", 2 * c * c + 2 * c,
-                              2 * c * c * windows if flops_on else None)
+                yield CostRow(f"{prefix}.msg", 2 * c * c + 2 * c, 2 * c * c * windows)
         if s < 3:
-            if flops_on:
-                he, we = _ceil_to(h, 2), _ceil_to(w, 2)
-                h, w = he // 2, we // 2
-                merge_flops = 8 * c * c * h * w
-            yield CostRow(f"merge{s}.norm", 8 * c, 0 if flops_on else None)
-            yield CostRow(f"merge{s}.reduce", 8 * c * c,
-                          merge_flops if flops_on else None)
+            h, w = _ceil_to(h, 2) // 2, _ceil_to(w, 2) // 2
+            yield CostRow(f"merge{s}.norm", 8 * c, 0)
+            yield CostRow(f"merge{s}.reduce", 8 * c * c, 8 * c * c * h * w)
 
     c3 = stage_channels(cfg, 3)
-    yield CostRow("head.norm", 2 * c3, 0 if flops_on else None)
-    yield CostRow("head.linear", c3 * cfg.classes + cfg.classes,
-                  c3 * cfg.classes if flops_on else None)
+    yield CostRow("head.norm", 2 * c3, 0)
+    yield CostRow("head.linear", c3 * cfg.classes + cfg.classes, c3 * cfg.classes)
 
 
 def count_params(cfg: ModelConfig) -> CostReport:
     """Closed-form per-layer parameter counts; equals the built model's
     parameter table total exactly."""
-    return CostReport(rows=list(_enumerate_layers(cfg, None)))
+    return CostReport(rows=[CostRow(r.path, r.params) for r in _enumerate_layers(cfg, (1, 1))])
 
 
 def _as_hw(resolution) -> tuple[int, int]:
-    if isinstance(resolution, int):
-        return resolution, resolution
-    h, w = resolution
+    """``resolution`` as a positive (height, width) pair; raises ValueError."""
+    h, w = (resolution, resolution) if isinstance(resolution, int) else resolution
+    if h < 1 or w < 1:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     return int(h), int(w)
 
 
 def count_flops(cfg: ModelConfig, resolution) -> CostReport:
     """Closed-form multiply-accumulate counts at batch 1 for a resolution."""
     hw = _as_hw(resolution)
-    if hw[0] < 1 or hw[1] < 1:
-        raise ValueError(f"resolution must be positive, got {resolution}")
     return CostReport(rows=list(_enumerate_layers(cfg, hw)), resolution=hw)
 
 
 def flops_oracle(cfg: ModelConfig, resolution, seed: int = 0) -> int:
     """Count every matmul multiply of one real forward pass (batch 1) on a
     zero table from ``table_shapes``: MACs depend only on shapes, so no weight
-    is drawn and ``seed`` fixes only the images. Desk-scale configs only; the
-    result must equal ``count_flops`` exactly.
+    is drawn and ``seed`` fixes only the images. The result must equal
+    ``count_flops`` exactly; a non-positive resolution raises ValueError.
     """
     hw = _as_hw(resolution)
-    if count_params(cfg).total_params > 5_000_000 or max(hw) > 128:
-        raise ValueError("flops_oracle is for desk-scale configs only")
     model = Model(cfg, {k: Tensor(np.zeros(s, np.float32)) for k, s in table_shapes(cfg).items()})
     rng = np.random.Generator(np.random.PCG64(seed))
     images = Tensor(rng.standard_normal((1, hw[0], hw[1], 3)).astype(np.float32))

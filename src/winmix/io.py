@@ -1,6 +1,7 @@
 """Binary file formats: WMIX checkpoints and WDAT image datasets.
 
-Both formats are little-endian and must round-trip bit-exactly.
+Both formats are little-endian and must round-trip bit-exactly. Writes are
+atomic: a failed save leaves the previous file intact (see ``_write_atomic``).
 
 WMIX checkpoint::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 import typing
 from pathlib import Path
@@ -77,32 +79,45 @@ def _fits(value, tp) -> bool:
     if typing.get_origin(tp) is tuple:
         return isinstance(value, (list, tuple)) and all(
             _fits(v, t) for v, t in zip(value, typing.get_args(tp)))
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_fits(v, typing.get_args(tp)[0]) for v in value)
     args = typing.get_args(tp)
     if args:  # a union such as ``float | None``
         return any(_fits(value, t) for t in args)
     return isinstance(value, tp)
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write the byte ``chunks`` to ``<path>.tmp``, fsync it and move it onto
+    ``path``; on failure remove it, so ``path`` is never half-written."""
+    tmp = Path(f"{os.fspath(path)}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
     """Write a WMIX file: a JSON config blob plus named tensor records."""
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_WMIX_MAGIC)
-        f.write(struct.pack("<I", _WMIX_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
+
+    def chunks():
+        yield _WMIX_MAGIC + struct.pack("<II", _WMIX_VERSION, len(blob)) + blob
         for name, arr in tensors.items():
             arr = np.ascontiguousarray(arr)
             if arr.dtype not in _DTYPE_CODES:
                 raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
             enc = name.encode("utf-8")
-            f.write(struct.pack("<I", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            if arr.dtype.byteorder == ">":
-                arr = arr.byteswap().view(arr.dtype.newbyteorder("<"))
-            f.write(arr.tobytes())
+            yield struct.pack("<I", len(enc)) + enc + struct.pack(
+                f"<BB{arr.ndim}Q", _DTYPE_CODES[arr.dtype], arr.ndim, *arr.shape)
+            yield arr.tobytes()
+
+    _write_atomic(path, chunks())
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -174,11 +189,7 @@ def save_wdat(path, images: np.ndarray, labels: np.ndarray) -> None:
         raise CheckpointError(f"labels shape {labels.shape} != ({n},)")
     px = np.ascontiguousarray(images, dtype=np.uint8)
     lb = np.ascontiguousarray(labels, dtype="<u2")
-    with open(path, "wb") as f:
-        f.write(_WDAT_MAGIC)
-        f.write(struct.pack("<IHHH", n, h, w, c))
-        f.write(px.tobytes())
-        f.write(lb.tobytes())
+    _write_atomic(path, [_WDAT_MAGIC, struct.pack("<IHHH", n, h, w, c), px.tobytes(), lb.tobytes()])
 
 
 def load_wdat(path) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,11 @@ into the rows, so a shared-weight map costs one graph node and its weight
 gradient is one product, not a per-batch stack.
 
 Forward results are checked for NaN/Inf so a numeric blow-up raises instead
-of propagating silently. Ops that only move, copy, zero-fill or negate
-elements (``reshape``, ``transpose``, ``roll``, ``index_select``,
-``broadcast_to``, ``pad_hw``, ``crop_hw``, ``neg``) are not scanned: they
-cannot turn finite inputs into NaN or Inf, and a NaN passed through them is
-caught by the next arithmetic op.
+of propagating silently. Ops that only move, copy or zero-fill elements
+(``reshape``, ``transpose``, ``roll``, ``index_select``, ``broadcast_to``,
+``pad_hw``, ``crop_hw``) are not scanned: they cannot turn finite inputs
+into NaN or Inf, and a NaN passed through them is caught by the next
+arithmetic op.
 
 Ops run once per layer forward and again backward, mostly on small arrays,
 so hot ops keep per-call overhead down: shape arithmetic stays in plain
@@ -42,9 +42,7 @@ __all__ = [
     "no_grad",
     "count_macs",
     "add",
-    "sub",
     "mul",
-    "neg",
     "matmul",
     "linear",
     "reshape",
@@ -82,7 +80,6 @@ class GraphError(RuntimeError):
 
 
 _grad_enabled = True
-_finite_checks = True
 _mac_counters: list[list] = []
 
 
@@ -157,12 +154,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
 
@@ -170,42 +161,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _lift(x, like: Tensor) -> Tensor:
@@ -214,14 +171,9 @@ def _lift(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-# not scanned by _check_finite (see the module docstring)
+# outputs not scanned for NaN/Inf (see the module docstring)
 _DATA_MOVEMENT_OPS = frozenset(
-    {"reshape", "transpose", "roll", "index_select", "broadcast_to", "pad_hw", "crop_hw", "neg"})
-
-
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _finite_checks and op not in _DATA_MOVEMENT_OPS and not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values produced by op '{op}'")
+    {"reshape", "transpose", "roll", "index_select", "broadcast_to", "pad_hw", "crop_hw"})
 
 
 def _make(
@@ -230,7 +182,8 @@ def _make(
     backward_fn: Callable[[np.ndarray], Sequence[np.ndarray]],
     op: str,
 ) -> Tensor:
-    _check_finite(data, op)
+    if op not in _DATA_MOVEMENT_OPS and not np.isfinite(data).all():
+        raise NumericError(f"non-finite values produced by op '{op}'")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -271,16 +224,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make(out, (a, b), back, "add")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    b = _lift(b, a)
-    out = a.data - b.data
-
-    def back(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return _make(out, (a, b), back, "sub")
-
-
 def mul(a: Tensor, b) -> Tensor:
     b = _lift(b, a)
     out = a.data * b.data
@@ -289,10 +232,6 @@ def mul(a: Tensor, b) -> Tensor:
         return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
 
     return _make(out, (a, b), back, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 # -- linear algebra --------------------------------------------------------
@@ -371,12 +310,15 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    out = a.data.transpose(axes)  # numpy rejects bad axes before the inverse is taken
+    inv = [0] * len(axes)
+    for i, ax in enumerate(axes):
+        inv[ax] = i  # a negative axis counts from the end, as numpy reads it
 
     def back(g):
         return (g.transpose(inv),)
 
-    return _make(a.data.transpose(axes), (a,), back, "transpose")
+    return _make(out, (a,), back, "transpose")
 
 
 def roll(a: Tensor, shifts: tuple[int, ...], axes: tuple[int, ...]) -> Tensor:

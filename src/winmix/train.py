@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import SyntheticDataset
-from .io import CheckpointError, dataclass_from_dict, load_checkpoint, save_checkpoint
+from .io import CheckpointError, _fits, dataclass_from_dict, load_checkpoint, save_checkpoint
 from .model import Model, ModelConfig, _model_from_checkpoint, build_model, forward
 from .tensor import NumericError, Tensor
 
@@ -202,6 +202,7 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
         out_path = out_dir / "last_good.wmix"
 
     stop = hp.steps if until is None else min(until, hp.steps)
+    saved_step = None
     while state.step < stop:
         idx = rng.integers(0, n, hp.batch_size)
         xb = Tensor(data.train_images[idx])
@@ -238,8 +239,9 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
                 break
         if checkpoint_every and state.step % checkpoint_every == 0 and out_path is not None:
             save_state(out_path, state)
+            saved_step = state.step
 
-    if out_path is not None:
+    if out_path is not None and saved_step != state.step:
         save_state(out_path, state)
     return state
 
@@ -269,15 +271,29 @@ def save_state(path, state: TrainState) -> None:
     save_checkpoint(path, blob, tensors)
 
 
+# JSON type of each key of a checkpoint's ``train`` blob
+_TRAIN_BLOB = {"step": int, "seed": int, "hp": dict, "rng_state": dict,
+               "step_losses": list[float], "evals": list[dict]}
+
+
 def load_state(path) -> TrainState:
     """Read a ``save_state`` checkpoint back; raises CheckpointError when the
-    file holds no training state or its moments do not match its parameters
-    in name or shape (the parameters were checked against ``table_shapes``)."""
+    file holds no training state, a ``train`` key is missing or has the wrong
+    JSON type, or its moments do not match its parameters in name or shape
+    (the parameters were checked against ``table_shapes``)."""
     blob, tensors = load_checkpoint(path)
     model = _model_from_checkpoint(path, blob, tensors)
     if "train" not in blob:
         raise CheckpointError(f"{path}: not a training checkpoint (no train state)")
     tr = blob["train"]
+    if not isinstance(tr, dict):
+        raise CheckpointError(f"{path}: train state must be a JSON object, "
+                              f"got {type(tr).__name__}")
+    for key, tp in _TRAIN_BLOB.items():
+        if not _fits(tr.get(key), tp):
+            got = f"{type(tr[key]).__name__} {tr[key]!r:.40}" if key in tr else "nothing"
+            raise CheckpointError(f"{path}: train state {key!r} must be "
+                                  f"{tp.__name__ if isinstance(tp, type) else tp}, got {got}")
     m = {k[len("opt.m."):]: a for k, a in tensors.items() if k.startswith("opt.m.")}
     v = {k[len("opt.v."):]: a for k, a in tensors.items() if k.startswith("opt.v.")}
     if set(m) != set(model.params) or set(v) != set(model.params):

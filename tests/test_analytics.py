@@ -195,9 +195,17 @@ class TestFlopsOracle:
         # 2 * (gs*ws)^2 * ws * (C/gs) axial + C^2 * ws^2 projection
         assert macs[0] == 2 * 4 * 2 * 2 + 4 * 4 == 48
 
-    def test_desk_scale_guard(self):
-        with pytest.raises(ValueError):
-            flops_oracle(preset("swin-linmapper-tiny"), 224)
+    @pytest.mark.parametrize("name", sorted(M.PRESETS))
+    def test_oracle_equals_closed_form_on_presets_at_224(self, name):
+        cfg = preset(name)
+        assert flops_oracle(cfg, 224) == count_flops(cfg, 224).total_flops
+
+    @pytest.mark.parametrize("res", [0, (0, 5), -3])
+    def test_non_positive_resolution_rejected(self, res):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            flops_oracle(DESK, res)
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            count_flops(DESK, res)
 
 
 class TestConnectivity:

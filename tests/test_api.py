@@ -1,8 +1,10 @@
-"""The public surface: what each module exports exists, and the package
-re-exports only exported names."""
+"""The public surface: what each module exports exists, the package
+re-exports only exported names, and every function the perfbench tracer
+wraps exists."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -30,3 +32,13 @@ def test_package_imports_are_exported():
             unexported += [f"{node.module}.{a.name}" for a in node.names
                            if a.name not in mod.__all__]
     assert not unexported, f"winmix/__init__.py imports unexported names: {unexported}"
+
+
+def test_perfbench_wrapped_functions_exist():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{attr}" for mod, attr, _ in spans.WRAPPED
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing, f"perfbench/spans.py wraps missing functions: {missing}"

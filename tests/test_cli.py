@@ -5,6 +5,7 @@ import pytest
 
 from winmix.cli import cli_main
 from winmix.data import DatasetSpec, gen_dataset
+from winmix.io import load_checkpoint, save_checkpoint
 from winmix.model import build_model, preset, save_model
 from winmix.train import load_state, save_state
 
@@ -171,6 +172,19 @@ class TestTrainEvalBench:
         code, out, err = run_cli(capsys, *common, "--resume", str(tmp_path / "bad.wmix"))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "'opt.m.stage0.block0.ffn.w1'" in err
+
+    def test_resume_with_bad_train_blob_exits_1(self, capsys, artifacts, tmp_path):
+        common = ["train", "--config", str(artifacts / "cfg.json"),
+                  "--data", str(artifacts / "data.json"), "--hp", str(artifacts / "hp.json"),
+                  "--out", str(tmp_path / "run")]
+        code, _, _ = run_cli(capsys, *common)
+        assert code == 0
+        blob, tensors = load_checkpoint(tmp_path / "run" / "last_good.wmix")
+        blob["train"]["step"] = "1"
+        save_checkpoint(tmp_path / "bad.wmix", blob, tensors)
+        code, out, err = run_cli(capsys, *common, "--resume", str(tmp_path / "bad.wmix"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "bad.wmix: train state 'step' must be int" in err
 
     def test_unknown_hp_key_exits_1(self, capsys, artifacts, tmp_path):
         hp = tmp_path / "hp.json"

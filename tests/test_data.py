@@ -48,6 +48,25 @@ class TestGeneration:
         acc = nearest_centroid_accuracy(ds)
         assert 0.3 < acc < 0.9
 
+    def test_quadrant_parity_layout(self):
+        spec = DatasetSpec(seed=3, mode="quadrant-parity", classes=2, size=16,
+                           n_train=32, n_val=8)
+        ds, again = gen_dataset(spec), gen_dataset(spec)
+        np.testing.assert_array_equal(ds.train_images, again.train_images)
+        np.testing.assert_array_equal(ds.val_images, again.val_images)
+        assert ds.train_images.shape == (32, 16, 16, 3)
+        assert ds.val_images.shape == (8, 16, 16, 3)
+        for labels, n in [(ds.train_labels, 32), (ds.val_labels, 8)]:
+            assert (np.bincount(labels, minlength=2) == n // 2).all()
+        # only the diagonal quadrants carry gratings; the others are grey plus noise
+        x = ds.train_images
+        off = np.concatenate([x[:, :8, 8:], x[:, 8:, :8]])
+        on = np.concatenate([x[:, :8, :8], x[:, 8:, 8:]])
+        assert abs(off.mean() - 0.5) < 0.01
+        assert off.std() < 1.05 * spec.noise < 2 * spec.noise < on.std()
+        flat = gen_dataset(dataclasses.replace(spec, noise=0.0)).train_images
+        assert (flat[:, :8, 8:] == 0.5).all() and (flat[:, 8:, :8] == 0.5).all()
+
     def test_unbalanced_count_rejected(self):
         with pytest.raises(ValueError):
             gen_dataset(DatasetSpec(n_train=63))
@@ -137,6 +156,20 @@ class TestWdat:
         np.testing.assert_array_equal(loaded.train_labels, ds.train_labels)
         # u8 quantization bounds the round-trip error
         assert np.abs(loaded.train_images - ds.train_images).max() <= 0.5 / 255
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.wdat"
+        save_wdat(path, np.zeros((2, 4, 4, 3), dtype=np.uint8), np.zeros(2, dtype=np.uint16))
+        good = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.fsync", fail)  # every byte is written, then the sync fails
+        with pytest.raises(OSError, match="disk full"):
+            save_wdat(path, np.ones((3, 4, 4, 3), dtype=np.uint8), np.ones(3, dtype=np.uint16))
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["d.wdat"]
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "d.wdat"

@@ -207,6 +207,20 @@ class TestReshape:
         assert v.data.base is t.data or v.data.base is t.data.base
 
 
+class TestTranspose:
+    def test_negative_axes_match_non_negative_gradient(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 3, 4))
+        w = t64(rng.standard_normal((2, 4, 3)))
+        grads = []
+        for axes in ((0, -1, 1), (0, 2, 1)):
+            leaf = t64(x, grad=True)
+            loss = T.tsum(T.mul(T.transpose(leaf, axes), w))
+            grads.append(gradients(loss, [leaf])[0].numpy())
+        assert grads[0].shape == x.shape
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+
 class TestFiniteChecks:
     def test_nan_surfaces_as_error(self):
         big = Tensor(np.array([1e38], dtype=np.float32))

@@ -9,7 +9,7 @@ import pytest
 
 from winmix.analytics import count_params
 from winmix.data import DatasetSpec, gen_dataset
-from winmix.io import CheckpointError
+from winmix.io import CheckpointError, load_checkpoint, save_checkpoint
 from winmix.model import ModelConfig, build_model, forward, load_model, preset, save_model
 from winmix.tensor import Tensor
 from winmix.train import (
@@ -204,6 +204,16 @@ class TestCheckpointResume:
             assert full.model.params[k].numpy().tobytes() == \
                 resumed.model.params[k].numpy().tobytes()
 
+    @pytest.mark.parametrize("every,saved", [(2, [2, 4]), (3, [3, 4]), (None, [4])])
+    def test_each_step_checkpointed_once(self, small_data, tmp_path, monkeypatch,
+                                         every, saved):
+        steps = []
+        monkeypatch.setattr(importlib.import_module("winmix.train"), "save_state",
+                            lambda path, st: steps.append(st.step))
+        train(CFG, small_data, Hyperparams(steps=4, eval_every=2), seed=1,
+              out_dir=tmp_path, checkpoint_every=every)
+        assert steps == saved
+
     def test_resume_rejects_config_mismatch(self, small_data, tmp_path):
         hp = Hyperparams(steps=4, eval_every=4)
         state = train(CFG, small_data, hp, seed=6)
@@ -318,3 +328,43 @@ class TestCheckpointFiles:
         save_model(tmp_path / "m.wmix", toy_checkpoint[0].model)
         with pytest.raises(CheckpointError, match="not a training checkpoint"):
             load_state(tmp_path / "m.wmix")
+
+    def test_failed_save_keeps_previous_file(self, toy_checkpoint, tmp_path):
+        path = tmp_path / "state.wmix"
+        save_state(path, toy_checkpoint[0])
+        good = path.read_bytes()
+        records = {"a": np.zeros(3, np.float32), "b": np.zeros(3, np.int32)}
+        with pytest.raises(CheckpointError, match="unsupported dtype int32"):
+            save_checkpoint(path, {"model": {}}, records)  # raises after writing "a"
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["state.wmix"]
+
+
+def _without(key):
+    return lambda tr: {k: v for k, v in tr.items() if k != key}
+
+
+def _with(key, value):
+    return lambda tr: {**tr, key: value}
+
+
+TRAIN_BLOB_DEFECTS = {
+    "step missing": (_without("step"), "'step' must be int, got nothing"),
+    "rng_state missing": (_without("rng_state"), "'rng_state' must be dict, got nothing"),
+    "train a list": (lambda tr: list(tr), "must be a JSON object, got list"),
+    "step_losses an int": (_with("step_losses", 3), "'step_losses' must be list"),
+    "step a string": (_with("step", "1"), "'step' must be int, got str"),
+    "seed a string": (_with("seed", "0"), "'seed' must be int, got str"),
+    "evals a string": (_with("evals", "x"), "'evals' must be list"),
+}
+
+
+@pytest.mark.parametrize("defect", TRAIN_BLOB_DEFECTS)
+def test_train_blob_defect_names_file_and_key(toy_checkpoint, tmp_path, defect):
+    edit, message = TRAIN_BLOB_DEFECTS[defect]
+    blob, tensors = load_checkpoint(toy_checkpoint[1])
+    blob["train"] = edit(blob["train"])
+    path = tmp_path / "edited.wmix"
+    save_checkpoint(path, blob, tensors)
+    with pytest.raises(CheckpointError, match="edited.wmix: .*" + message):
+        load_state(path)
