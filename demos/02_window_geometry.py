@@ -10,7 +10,6 @@ import numpy as np
 
 from winmix import (
     FeatureMap,
-    MessengerState,
     Tensor,
     cyclic_shift,
     messenger_exchange,
@@ -28,10 +27,10 @@ x = FeatureMap(Tensor(grid))
 show("original 4x4 grid", x)
 
 # --- partition into 2x2 windows --------------------------------------------
-wset = window_partition(x, 2)
+windows = window_partition(x, 2)
 print("windows (row-major, tokens row-major):")
-print(wset.windows.numpy()[:, :, 0].astype(int))
-assert (window_reverse(wset).values.numpy() == grid).all()
+print(windows.numpy()[:, :, 0].astype(int))
+assert (window_reverse(windows, 4, 4).values.numpy() == grid).all()
 
 # --- cyclic shift: the token at (i, j) moves to (i+dy, j+dx) mod size ------
 show("shift by (1, 1)", cyclic_shift(x, 1, 1))
@@ -40,17 +39,16 @@ show("shift by (1, 1)", cyclic_shift(x, 1, 1))
 shuffled = spatial_shuffle(x, 2)
 show("spatial shuffle (ws=2)", shuffled)
 print("first shuffled window:",
-      window_partition(shuffled, 2).windows.numpy()[0, :, 0].astype(int))
+      window_partition(shuffled, 2).numpy()[0, :, 0].astype(int))
 
 # --- messenger tokens: exchange channel slices across a window region -----
 c = 4
 tokens = np.zeros((4, 1, c))
 for win in range(4):
     tokens[win] = 10 + win            # tag each window's messenger
-state = MessengerState(tokens=Tensor(tokens), batch=1, win_h=2, win_w=2, region=2)
-
-after = messenger_exchange(state)
+# a 2x2 window grid, exchanged over one region of side 2
+after = messenger_exchange(Tensor(tokens), 2, 2, 2)
 print("window 0 messenger after exchange (one quarter-slice per window):")
-print(after.tokens.numpy()[0, 0])
-assert (messenger_exchange(after).tokens.numpy() == tokens).all()  # involution
-print("exchange twice restores the original state")
+print(after.numpy()[0, 0])
+assert (messenger_exchange(after, 2, 2, 2).numpy() == tokens).all()  # involution
+print("exchange twice restores the original tokens")

@@ -27,8 +27,6 @@ from .tensor import (
 )
 from .geometry import (
     FeatureMap,
-    WindowSet,
-    MessengerState,
     pad_to_multiple,
     window_partition,
     window_reverse,

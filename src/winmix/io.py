@@ -52,9 +52,10 @@ def dataclass_from_dict(cls, d, what: str, error: type[Exception] = ValueError):
     """Build the dataclass ``cls`` from a decoded JSON object.
 
     A value that is not an object, an object with keys that are not fields
-    of ``cls``, or a value that does not fit its field's type raises
-    ``error`` naming ``what`` and the keys. A JSON int fits a float field; a
-    JSON bool fits only a bool field; a list fits a tuple field.
+    of ``cls`` or without a field that has no default, or a value that does
+    not fit its field's type raises ``error`` naming ``what`` and the keys.
+    A JSON int fits a float field; a JSON bool fits only a bool field; a
+    list fits a tuple field.
     """
     if not isinstance(d, dict):
         raise error(f"{what} must be a JSON object, got {type(d).__name__}")
@@ -62,6 +63,10 @@ def dataclass_from_dict(cls, d, what: str, error: type[Exception] = ValueError):
     unknown = set(d) - set(fields)
     if unknown:
         raise error(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [k for k, f in fields.items() if k not in d and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise error(f"missing {what} fields: {missing}")
     hints = typing.get_type_hints(cls)
     for key, value in d.items():
         if not _fits(value, hints[key]):

@@ -22,7 +22,7 @@ from . import aggregators as agg
 from . import geometry as geo
 from . import tensor as T
 from .aggregators import trunc_normal, zeros_param
-from .geometry import FeatureMap, MessengerState
+from .geometry import FeatureMap
 from .io import CheckpointError, dataclass_from_dict, load_checkpoint, save_checkpoint
 from .tensor import Tensor
 
@@ -268,8 +268,7 @@ def patch_embed(model: Model, images: Tensor) -> FeatureMap:
     Images are (B, H, W, 3); H and W are zero-padded up to multiples of 4.
     The token grid comes out as ceil(H/4) x ceil(W/4).
     """
-    fm, _ = geo.pad_to_multiple(FeatureMap(images), 4)
-    v = fm.values
+    v = geo.pad_to_multiple(FeatureMap(images), 4).values
     b, h, w, c = v.shape
     gh, gw = h // 4, w // 4
     v = T.reshape(v, (b, gh, 4, gw, 4, c))
@@ -282,8 +281,7 @@ def patch_embed(model: Model, images: Tensor) -> FeatureMap:
 
 def patch_merge(model: Model, x: FeatureMap, stage: int) -> FeatureMap:
     """Concatenate each 2x2 token neighborhood, norm, reduce 4C -> 2C."""
-    fm, _ = geo.pad_to_multiple(x, 2)
-    v = fm.values
+    v = geo.pad_to_multiple(x, 2).values
     b, h, w, c = v.shape
     v = T.reshape(v, (b, h // 2, 2, w // 2, 2, c))
     v = T.transpose(v, (0, 1, 3, 2, 4, 5))
@@ -303,19 +301,15 @@ def choose_messenger_region(gh: int, gw: int, c: int, target: int) -> int:
     return 1
 
 
-def _init_messengers(model: Model, stage: int, x: FeatureMap) -> MessengerState | None:
+def _init_messengers(model: Model, stage: int, x: FeatureMap) -> Tensor | None:
+    """The stage's (windows, m, C) messenger tokens, or None without MSG."""
     cfg = model.config
     if cfg.comm != "MSG" or not stage_has_comm(cfg, stage):
         return None
-    ws = cfg.window
-    gh = -(-x.height // ws)
-    gw = -(-x.width // ws)
-    c = x.channels
+    windows = x.batch * -(-x.height // cfg.window) * -(-x.width // cfg.window)
+    m, c = cfg.messenger_count, x.channels
     init = model.params[f"stage{stage}.msg_init"]
-    tokens = T.broadcast_to(T.reshape(init, (1, cfg.messenger_count, c)),
-                            (x.batch * gh * gw, cfg.messenger_count, c))
-    r = choose_messenger_region(gh, gw, c, cfg.messenger_region)
-    return MessengerState(tokens=tokens, batch=x.batch, win_h=gh, win_w=gw, region=r)
+    return T.broadcast_to(T.reshape(init, (1, m, c)), (windows, m, c))
 
 
 def _ffn(model: Model, prefix: str, x: Tensor) -> Tensor:
@@ -324,31 +318,31 @@ def _ffn(model: Model, prefix: str, x: Tensor) -> Tensor:
 
 
 def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
-                  msg: MessengerState | None = None) -> tuple[FeatureMap, MessengerState | None]:
-    """One mixing block; returns the new map and the threaded messenger state."""
+                  msg: Tensor | None = None) -> tuple[FeatureMap, Tensor | None]:
+    """One mixing block; returns the new map and the threaded messenger tokens."""
     cfg = model.config
     ws = cfg.window
     prefix = f"stage{stage}.block{index}"
     active = comm_active(cfg, index)
     shift = ws // 2
 
-    fm, rec = geo.pad_to_multiple(x, ws)
+    fm = geo.pad_to_multiple(x, ws)
     if active and cfg.comm == "Shift":
         fm = geo.cyclic_shift(fm, -shift, -shift)
     elif active and cfg.comm == "Shuffle":
         fm = geo.spatial_shuffle(fm, ws)
 
-    wset = geo.window_partition(fm, ws)
-    win = wset.windows
+    win = geo.window_partition(fm, ws)
 
     if active and cfg.comm == "MSG" and msg is not None:
         pooled = T.tmean(win, axis=1)
         upd = T.linear(pooled, model.params[f"{prefix}.msg.collect.w"],
                        model.params[f"{prefix}.msg.collect.b"])
-        tokens = msg.tokens + T.reshape(upd, (upd.shape[0], 1, upd.shape[1]))
-        msg = dataclasses.replace(msg, tokens=tokens)
-        msg = geo.messenger_exchange(msg)
-        dist = T.linear(T.tmean(msg.tokens, axis=1),
+        gh, gw = fm.height // ws, fm.width // ws
+        region = choose_messenger_region(gh, gw, x.channels, cfg.messenger_region)
+        msg = msg + T.reshape(upd, (upd.shape[0], 1, upd.shape[1]))
+        msg = geo.messenger_exchange(msg, gh, gw, region)
+        dist = T.linear(T.tmean(msg, axis=1),
                         model.params[f"{prefix}.msg.distribute.w"],
                         model.params[f"{prefix}.msg.distribute.b"])
         win = win + T.reshape(dist, (dist.shape[0], 1, dist.shape[1]))
@@ -362,13 +356,12 @@ def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
                           model.params[f"{prefix}.norm2.b"])
     win = win + _ffn(model, prefix, normed)
 
-    fm = geo.window_reverse(wset.with_windows(win))
+    fm = geo.window_reverse(win, fm.height, fm.width)
     if active and cfg.comm == "Shift":
         fm = geo.cyclic_shift(fm, shift, shift)
     elif active and cfg.comm == "Shuffle":
         fm = geo.spatial_unshuffle(fm, ws)
-    out = FeatureMap(T.crop_hw(fm.values, rec.orig_h, rec.orig_w))
-    return out, msg
+    return FeatureMap(T.crop_hw(fm.values, x.height, x.width)), msg
 
 
 def forward(model: Model, images: Tensor) -> Tensor:
@@ -410,7 +403,10 @@ def load_model(path) -> Model:
 def _model_from_checkpoint(path, blob: dict, tensors: dict[str, np.ndarray]) -> Model:
     if "model" not in blob:
         raise CheckpointError(f"{path}: no model config in checkpoint")
-    cfg = ModelConfig.from_dict(blob["model"])
+    try:
+        cfg = ModelConfig.from_dict(blob["model"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()
               if not k.startswith("opt.")}
     expected, got = table_shapes(cfg), {k: v.shape for k, v in params.items()}

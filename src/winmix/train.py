@@ -11,6 +11,7 @@ recorded as plain floats, so identical seeds reproduce identical histories.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,16 +272,24 @@ def save_state(path, state: TrainState) -> None:
     save_checkpoint(path, blob, tensors)
 
 
-# JSON type of each key of a checkpoint's ``train`` blob
+# JSON type of each key of a checkpoint's ``train`` blob; a dotted key
+# names a key of the object checked before it
 _TRAIN_BLOB = {"step": int, "seed": int, "hp": dict, "rng_state": dict,
+               "rng_state.bit_generator": str, "rng_state.state": dict,
+               "rng_state.state.state": str, "rng_state.state.inc": str,
+               "rng_state.has_uint32": int, "rng_state.uinteger": int,
                "step_losses": list[float], "evals": list[dict]}
+# numeric keys of each ``evals`` entry
+_EVAL_KEYS = ("step", "lr", "train_loss", "val_acc", "val_loss")
 
 
 def load_state(path) -> TrainState:
     """Read a ``save_state`` checkpoint back; raises CheckpointError when the
-    file holds no training state, a ``train`` key is missing or has the wrong
-    JSON type, or its moments do not match its parameters in name or shape
-    (the parameters were checked against ``table_shapes``)."""
+    file holds no training state, a ``train`` key (down to the ``rng_state``
+    fields and each eval's numbers) is missing or has the wrong JSON type,
+    its ``hp`` or ``rng_state`` values are invalid, or its moments do not match
+    its parameters in name or shape (the parameters were checked against
+    ``table_shapes``)."""
     blob, tensors = load_checkpoint(path)
     model = _model_from_checkpoint(path, blob, tensors)
     if "train" not in blob:
@@ -290,10 +299,25 @@ def load_state(path) -> TrainState:
         raise CheckpointError(f"{path}: train state must be a JSON object, "
                               f"got {type(tr).__name__}")
     for key, tp in _TRAIN_BLOB.items():
-        if not _fits(tr.get(key), tp):
-            got = f"{type(tr[key]).__name__} {tr[key]!r:.40}" if key in tr else "nothing"
+        *outer, leaf = key.split(".")
+        obj = functools.reduce(dict.__getitem__, outer, tr)
+        if not _fits(obj.get(leaf), tp):
+            got = f"{type(obj[leaf]).__name__} {obj[leaf]!r:.40}" if leaf in obj else "nothing"
             raise CheckpointError(f"{path}: train state {key!r} must be "
                                   f"{tp.__name__ if isinstance(tp, type) else tp}, got {got}")
+    for i, ev in enumerate(tr["evals"]):
+        bad = [k for k in _EVAL_KEYS if not _fits(ev.get(k), float)]
+        if bad:
+            raise CheckpointError(f"{path}: train state 'evals' entry {i} needs numeric {bad}")
+    try:
+        hp = Hyperparams.from_dict(tr["hp"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: train state 'hp': {exc}") from None
+    try:  # the generator that train restores it into checks the values
+        rng_state = _decode_rng(tr["rng_state"])
+        np.random.PCG64().state = rng_state
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise CheckpointError(f"{path}: train state 'rng_state': {exc}") from None
     m = {k[len("opt.m."):]: a for k, a in tensors.items() if k.startswith("opt.m.")}
     v = {k[len("opt.v."):]: a for k, a in tensors.items() if k.startswith("opt.v.")}
     if set(m) != set(model.params) or set(v) != set(model.params):
@@ -309,8 +333,8 @@ def load_state(path) -> TrainState:
         v=v,
         step=tr["step"],
         seed=tr["seed"],
-        hp=Hyperparams.from_dict(tr["hp"]),
-        rng_state=_decode_rng(tr["rng_state"]),
+        hp=hp,
+        rng_state=rng_state,
         step_losses=list(tr["step_losses"]),
         evals=list(tr["evals"]),
     )

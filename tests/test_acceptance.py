@@ -20,7 +20,6 @@ from winmix.analytics import connectivity, count_flops, count_params, flops_orac
 from winmix.data import DatasetSpec, gen_dataset
 from winmix.geometry import (
     FeatureMap,
-    MessengerState,
     cyclic_shift,
     messenger_exchange,
     spatial_shuffle,
@@ -296,17 +295,16 @@ def test_criterion_5_round_trips_bit_exact():
         x = FeatureMap(Tensor(r.standard_normal((2, h, w, 8))))
         raw = x.values.numpy()
 
-        part = window_reverse(window_partition(x, 7)).values.numpy()
+        part = window_reverse(window_partition(x, 7), h, w).values.numpy()
         shift = cyclic_shift(cyclic_shift(x, 3, -2), -3, 2).values.numpy()
         shuf = spatial_unshuffle(spatial_shuffle(x, 7), 7).values.numpy()
         ok = ok and (part == raw).all() and (shift == raw).all() and (shuf == raw).all()
 
-        state = MessengerState(tokens=Tensor(r.standard_normal((2 * (h // 7) * (w // 7), 1, 8))),
-                               batch=2, win_h=h // 7, win_w=w // 7, region=1)
-        if h // 7 % 2 == 0 and w // 7 % 2 == 0:
-            state = dataclasses.replace(state, region=2)
-            twice = messenger_exchange(messenger_exchange(state)).tokens.numpy()
-            ok = ok and (twice == state.tokens.numpy()).all()
+        gh, gw = h // 7, w // 7
+        tokens = Tensor(r.standard_normal((2 * gh * gw, 1, 8)))
+        if gh % 2 == 0 and gw % 2 == 0:
+            twice = messenger_exchange(messenger_exchange(tokens, gh, gw, 2), gh, gw, 2)
+            ok = ok and (twice.numpy() == tokens.numpy()).all()
     report(5, "partition/shift/shuffle/messenger round trips bit-exact", ok)
 
 

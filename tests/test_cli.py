@@ -47,6 +47,27 @@ def test_config_value_of_wrong_type_exits_1(capsys, tmp_path, cmd):
     assert err.startswith("error: ") and "'width' must be int" in err
 
 
+def test_config_missing_field_exits_1(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"width": 8}))
+    code, out, err = run_cli(capsys, "describe", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "missing config fields: ['depths']" in err
+
+
+def test_checkpoint_config_missing_field_exits_1(capsys, tmp_path):
+    model = build_model(preset("toy-desk"), seed=0)
+    cfg = model.config.to_dict()
+    del cfg["depths"]
+    tensors = {k: t.numpy() for k, t in model.params.items()}
+    save_checkpoint(tmp_path / "bad.wmix", {"model": cfg}, tensors)
+    (tmp_path / "data.json").write_text(json.dumps(DatasetSpec(n_val=8).to_dict()))
+    code, out, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "bad.wmix"),
+                             "--data", str(tmp_path / "data.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "bad.wmix: missing config fields: ['depths']" in err
+
+
 class TestCount:
     def test_tiny_lands_near_paper_value(self, capsys):
         code, out, _ = run_cli(capsys, "count", "swin-linmapper-tiny")

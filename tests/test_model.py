@@ -257,15 +257,14 @@ class TestBlocksAndForward:
         got, _ = M.block_forward(m, G.FeatureMap(vals), stage=0, index=1)
 
         shifted = G.cyclic_shift(G.FeatureMap(vals), -1, -1)
-        wset = G.window_partition(shifted, 2)
-        win = wset.windows
+        win = G.window_partition(shifted, 2)
         normed = T.layer_norm(win, m.params["stage0.block1.norm1.g"],
                               m.params["stage0.block1.norm1.b"])
         win = win + A.aggregate("Linear", normed, M._agg_params(m, "stage0.block1", 0))
         normed = T.layer_norm(win, m.params["stage0.block1.norm2.g"],
                               m.params["stage0.block1.norm2.b"])
         win = win + M._ffn(m, "stage0.block1", normed)
-        back = G.window_reverse(wset.with_windows(win))
+        back = G.window_reverse(win, 4, 4)
         want = G.cyclic_shift(back, 1, 1).values.numpy()
         np.testing.assert_array_equal(got.values.numpy(), want)
 

@@ -356,6 +356,23 @@ TRAIN_BLOB_DEFECTS = {
     "step a string": (_with("step", "1"), "'step' must be int, got str"),
     "seed a string": (_with("seed", "0"), "'seed' must be int, got str"),
     "evals a string": (_with("evals", "x"), "'evals' must be list"),
+    "rng_state empty": (_with("rng_state", {}),
+                        "'rng_state.bit_generator' must be str, got nothing"),
+    "rng_state inc missing": (
+        lambda tr: {**tr, "rng_state": {**tr["rng_state"], "state": {"state": "1"}}},
+        "'rng_state.state.inc' must be str, got nothing"),
+    "rng_state uinteger negative": (
+        lambda tr: {**tr, "rng_state": {**tr["rng_state"], "uinteger": -1}}, "'rng_state': "),
+    "rng_state state not a number": (
+        lambda tr: {**tr, "rng_state": {**tr["rng_state"], "state": {"state": "x", "inc": "1"}}},
+        "'rng_state': invalid literal"),
+    "hp steps 0": (lambda tr: {**tr, "hp": {**tr["hp"], "steps": 0}},
+                   r"'hp': steps, batch_size and eval_every must be >= 1"),
+    "evals of empty objects": (_with("evals", [{}]),
+                               r"'evals' entry 0 needs numeric \['step', 'lr', "),
+    "eval accuracy a string": (
+        lambda tr: {**tr, "evals": [{**tr["evals"][0], "val_acc": "0.5"}]},
+        r"'evals' entry 0 needs numeric \['val_acc'\]"),
 }
 
 
