@@ -145,8 +145,8 @@ def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
     do not depend on it.
 
     The grid bookkeeping mirrors the forward pass exactly: the stem pads the
-    image to a multiple of 4, every block pads its grid to the window size
-    (and crops after), and patch merging pads to even extents.
+    image to a multiple of 4, blocks pad to the window size for ``.agg`` and
+    ``.msg`` and crop before ``.ffn``, and patch merging pads to even extents.
     """
     validate_config(cfg)
     ws = cfg.window
@@ -161,11 +161,10 @@ def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
         c = stage_channels(cfg, s)
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
             yield CostRow(f"stage{s}.msg_init", cfg.messenger_count * c, 0)
-        tokens = _ceil_to(h, ws) * _ceil_to(w, ws)
-        windows = tokens // (ws * ws)
+        windows = _ceil_to(h, ws) * _ceil_to(w, ws) // (ws * ws)
         agg = (_agg_param_count(cfg, s), windows * _agg_flops_per_window(cfg, s))
         ffn = (2 * cfg.ffn_ratio * c * c + (cfg.ffn_ratio + 1) * c,
-               2 * cfg.ffn_ratio * c * c * tokens)
+               2 * cfg.ffn_ratio * c * c * h * w)
         for i in range(cfg.depths[s]):
             prefix = f"stage{s}.block{i}"
             yield CostRow(f"{prefix}.norms", 4 * c, 0)
@@ -358,7 +357,13 @@ def bench_throughput(model: Model, batch: int = 8, repeats: int = 5,
 
     Returns median and inter-quartile range over the repeats. Model outputs
     are unaffected by timing; only wall-clock numbers vary between runs.
+    ``batch`` or ``repeats`` below 1, or ``warmup`` below 0, raises
+    ValueError naming the argument.
     """
+    for name, value, least in (("batch", batch, 1), ("repeats", repeats, 1),
+                               ("warmup", warmup, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     hw = _as_hw(resolution)
     rng = np.random.Generator(np.random.PCG64(seed))
     images = Tensor(rng.standard_normal((batch, hw[0], hw[1], 3)).astype(np.float32))
@@ -366,7 +371,7 @@ def bench_throughput(model: Model, batch: int = 8, repeats: int = 5,
         for _ in range(warmup):
             forward(model, images)
         rates = []
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             forward(model, images)
             rates.append(batch / (time.perf_counter() - t0))

@@ -28,7 +28,10 @@ def sampled_check(loss_fn, arrays: dict[str, np.ndarray], rng: np.random.Generat
 
     ``loss_fn(arrays) -> (loss Tensor, leaves dict)`` must rebuild the graph
     from the given float64 arrays so each probe re-runs the true forward.
+    ``samples_per_leaf`` below 1 raises ValueError: it would compare nothing.
     """
+    if samples_per_leaf < 1:
+        raise ValueError(f"samples_per_leaf must be >= 1, got {samples_per_leaf}")
     loss, leaves = loss_fn(arrays)
     for t in leaves.values():
         t.grad = None

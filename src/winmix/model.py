@@ -4,11 +4,12 @@ classifier head, and the named presets.
 A model is a declarative ``ModelConfig`` plus a flat named-parameter table;
 ``forward`` is a pure function of (table, images). Each block runs
 
-    [comm-in] -> partition -> norm -> aggregator -> +residual
-              -> norm -> per-token FFN -> +residual -> reverse -> [comm-out]
+    pad -> [comm-in] -> partition -> norm -> aggregator -> +residual
+        -> reverse -> [comm-out] -> crop -> norm -> per-token FFN -> +residual
 
 where the cross-window communication (cyclic shift, spatial shuffle, or
-messenger exchange) is applied on odd-indexed blocks of each stage only.
+messenger exchange) runs on odd-indexed blocks of each stage only. The second
+norm and the FFN act per token, so they run on the cropped map, not on padding.
 """
 
 from __future__ import annotations
@@ -352,16 +353,16 @@ def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
     win = win + agg.aggregate(cfg.aggregator, normed,
                               _agg_params(model, prefix, stage),
                               cfg.layout_faithful)
-    normed = T.layer_norm(win, model.params[f"{prefix}.norm2.g"],
-                          model.params[f"{prefix}.norm2.b"])
-    win = win + _ffn(model, prefix, normed)
 
     fm = geo.window_reverse(win, fm.height, fm.width)
     if active and cfg.comm == "Shift":
         fm = geo.cyclic_shift(fm, shift, shift)
     elif active and cfg.comm == "Shuffle":
         fm = geo.spatial_unshuffle(fm, ws)
-    return FeatureMap(T.crop_hw(fm.values, x.height, x.width)), msg
+    v = T.crop_hw(fm.values, x.height, x.width)
+    normed = T.layer_norm(v, model.params[f"{prefix}.norm2.g"],
+                          model.params[f"{prefix}.norm2.b"])
+    return FeatureMap(v + _ffn(model, prefix, normed)), msg
 
 
 def forward(model: Model, images: Tensor) -> Tensor:

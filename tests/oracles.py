@@ -2,7 +2,8 @@
 
 Everything here is written with plain numpy and explicit loops, deliberately
 avoiding the library's tensor/geometry code paths, so agreement between the
-two routes is meaningful.
+two routes is meaningful. The one exception, ``block_forward_windowed_ffn``,
+composes the library's own ops in a different order.
 """
 
 import math
@@ -183,3 +184,51 @@ def gelu_grad_composed(x, g):
 
 def pad_hw_np(x, pad_h, pad_w):
     return np.pad(x, [(0, 0), (0, pad_h), (0, pad_w), (0, 0)])
+
+
+def block_forward_windowed_ffn(model, x, stage, index, msg=None):
+    """``model.block_forward`` with norm2, the FFN and their residual run on
+    the padded windows, before reverse, the inverse comm op and the crop.
+
+    Those ops act on each token alone, so they commute with the window
+    permutations and the crop: real-token outputs and gradients must agree
+    with the library's block, which runs them on the cropped map.
+    """
+    from winmix import aggregators as agg
+    from winmix import geometry as geo
+    from winmix import model as M
+    from winmix import tensor as T
+
+    cfg, ws, p = model.config, model.config.window, model.params
+    prefix = f"stage{stage}.block{index}"
+    active = M.comm_active(cfg, index)
+    shift = ws // 2
+
+    fm = geo.pad_to_multiple(x, ws)
+    if active and cfg.comm == "Shift":
+        fm = geo.cyclic_shift(fm, -shift, -shift)
+    elif active and cfg.comm == "Shuffle":
+        fm = geo.spatial_shuffle(fm, ws)
+    win = geo.window_partition(fm, ws)
+    if active and cfg.comm == "MSG" and msg is not None:
+        upd = T.linear(T.tmean(win, axis=1), p[f"{prefix}.msg.collect.w"],
+                       p[f"{prefix}.msg.collect.b"])
+        gh, gw = fm.height // ws, fm.width // ws
+        region = M.choose_messenger_region(gh, gw, x.channels, cfg.messenger_region)
+        msg = msg + T.reshape(upd, (upd.shape[0], 1, upd.shape[1]))
+        msg = geo.messenger_exchange(msg, gh, gw, region)
+        dist = T.linear(T.tmean(msg, axis=1), p[f"{prefix}.msg.distribute.w"],
+                        p[f"{prefix}.msg.distribute.b"])
+        win = win + T.reshape(dist, (dist.shape[0], 1, dist.shape[1]))
+    normed = T.layer_norm(win, p[f"{prefix}.norm1.g"], p[f"{prefix}.norm1.b"])
+    win = win + agg.aggregate(cfg.aggregator, normed, M._agg_params(model, prefix, stage),
+                              cfg.layout_faithful)
+    normed = T.layer_norm(win, p[f"{prefix}.norm2.g"], p[f"{prefix}.norm2.b"])
+    win = win + M._ffn(model, prefix, normed)
+
+    fm = geo.window_reverse(win, fm.height, fm.width)
+    if active and cfg.comm == "Shift":
+        fm = geo.cyclic_shift(fm, shift, shift)
+    elif active and cfg.comm == "Shuffle":
+        fm = geo.spatial_unshuffle(fm, ws)
+    return geo.FeatureMap(T.crop_hw(fm.values, x.height, x.width)), msg

@@ -169,8 +169,11 @@ class TestFlopsOracle:
         cfg = dataclasses.replace(DESK, aggregator=agg, comm=comm)
         assert flops_oracle(cfg, 32) == count_flops(cfg, 32).total_flops
 
-    def test_oracle_with_ragged_resolution(self):
-        cfg = dataclasses.replace(TINY8, comm="Shift", depths=(2, 1, 1, 1))
+    @pytest.mark.parametrize("agg", ["Linear", "DWLinear", "MLP", "MHSA"])
+    @pytest.mark.parametrize("comm", ["Shift", "Shuffle", "MSG", "None"])
+    def test_oracle_with_ragged_resolution(self, agg, comm):
+        # padded positions count for .agg and .msg but not for .ffn
+        cfg = dataclasses.replace(TINY8, aggregator=agg, comm=comm, depths=(2, 1, 1, 1))
         res = (30, 44)  # forces stem and window padding
         assert flops_oracle(cfg, res) == count_flops(cfg, res).total_flops
 
@@ -340,6 +343,14 @@ class TestBench:
         AN.bench_throughput(m, batch=2, repeats=2, resolution=16, warmup=1)
         b = forward(m, imgs).numpy()
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("arg,value", [("batch", 0), ("batch", -2), ("repeats", 0),
+                                           ("warmup", -1)])
+    def test_bad_argument_rejected(self, arg, value):
+        m = build_model(TINY8, seed=0)
+        kwargs = dict(batch=2, repeats=1, resolution=16, warmup=0) | {arg: value}
+        with pytest.raises(ValueError, match=f"{arg} must be >= "):
+            AN.bench_throughput(m, **kwargs)
 
     def test_bigger_model_is_slower(self):
         small = build_model(TINY8, seed=0)

@@ -123,6 +123,12 @@ class TestGradcheck:
         assert blob["passed"] is True
         assert blob["max_rel_error"] < 1e-4
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_no_samples_exits_1(self, capsys, samples):
+        code, out, err = run_cli(capsys, "gradcheck", "--samples", samples)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: samples_per_leaf must be >= 1")
+
     def test_numeric_failure_exits_2(self, capsys, monkeypatch):
         import winmix.cli as cli_mod
         monkeypatch.setattr(cli_mod, "model_gradcheck", lambda *a, **k: 1.0)
@@ -163,6 +169,15 @@ class TestTrainEvalBench:
                                "--batch", "2", "--repeats", "2", "--res", "16")
         assert code == 0
         assert json.loads(out)["images_per_second"] > 0
+
+    @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--batch", "-2"),
+                                            ("--repeats", "0")])
+    def test_bench_bad_argument_exits_1(self, capsys, tmp_path, flag, value):
+        save_model(tmp_path / "m.wmix", build_model(preset("toy-desk"), seed=0))
+        code, out, err = run_cli(capsys, "bench", "--ckpt", str(tmp_path / "m.wmix"),
+                                 "--res", "16", flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag[2:]} must be >= 1")
 
     def test_resume_with_different_hp_exits_1(self, capsys, artifacts):
         run = artifacts / "resume-hp"

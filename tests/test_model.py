@@ -261,12 +261,56 @@ class TestBlocksAndForward:
         normed = T.layer_norm(win, m.params["stage0.block1.norm1.g"],
                               m.params["stage0.block1.norm1.b"])
         win = win + A.aggregate("Linear", normed, M._agg_params(m, "stage0.block1", 0))
-        normed = T.layer_norm(win, m.params["stage0.block1.norm2.g"],
+        back = G.cyclic_shift(G.window_reverse(win, 4, 4), 1, 1).values
+        normed = T.layer_norm(back, m.params["stage0.block1.norm2.g"],
                               m.params["stage0.block1.norm2.b"])
-        win = win + M._ffn(m, "stage0.block1", normed)
-        back = G.window_reverse(win, 4, 4)
-        want = G.cyclic_shift(back, 1, 1).values.numpy()
+        want = (back + M._ffn(m, "stage0.block1", normed)).numpy()
         np.testing.assert_array_equal(got.values.numpy(), want)
+
+    @pytest.mark.parametrize("agg", ["Linear", "DWLinear", "MLP", "MHSA"])
+    @pytest.mark.parametrize("comm", ["Shift", "Shuffle", "MSG", "None"])
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 10)])
+    def test_cropped_ffn_matches_windowed_ffn(self, agg, comm, hw):
+        # norm2 and the FFN act per token, so running them on the cropped
+        # map instead of the padded windows changes no real-token output and
+        # no gradient; 5x7 pads to a 2x2 window grid (MSG region 2), 6x10 to
+        # a 2x3 one (region 1). Random biases make the padded tokens nonzero.
+        from oracles import block_forward_windowed_ffn
+        from winmix.geometry import FeatureMap
+
+        cfg = ModelConfig(width=8, depths=(2, 1, 1, 1), window=4, aggregator=agg,
+                          comm=comm, classes=4, groups=4, heads_divisor=4)
+        rng = np.random.default_rng(21)
+        table = {k: 0.5 * rng.standard_normal(s) for k, s in M.table_shapes(cfg).items()}
+        vals = rng.standard_normal((2, *hw, 8))
+        probe = rng.standard_normal((2, *hw, 8))
+
+        def run(block):
+            params = {k: Tensor(a, requires_grad=True) for k, a in table.items()}
+            model = M.Model(cfg, params, np.dtype(np.float64))
+            x = Tensor(vals, requires_grad=True)
+            fm, msg = FeatureMap(x), M._init_messengers(model, 0, FeatureMap(x))
+            for i in range(2):
+                fm, msg = block(model, fm, 0, i, msg)
+            loss = T.tsum(fm.values * Tensor(probe))
+            T.backward(loss)
+            grads = {k: t.grad for k, t in params.items() if t.grad is not None}
+            return fm.values.numpy(), x.grad, grads
+
+        def assert_close(a, b, scale, name):
+            # relative to the largest entry of its kind: summation order
+            # differs between the two routes, so an entry near cancellation
+            # (MHSA's key-bias gradient is exactly zero in exact arithmetic)
+            # may differ by more than 1e-12 of itself
+            assert np.abs(a - b).max() <= 1e-12 * scale, name
+
+        got, want = run(M.block_forward), run(block_forward_windowed_ffn)
+        assert_close(got[0], want[0], np.abs(want[0]).max(), "output")
+        assert_close(got[1], want[1], np.abs(want[1]).max(), "input gradient")
+        assert got[2].keys() == want[2].keys()
+        scale = max(np.abs(g).max() for g in want[2].values())
+        for name in want[2]:
+            assert_close(got[2][name], want[2][name], scale, name)
 
     def test_zero_head_gives_zero_logits(self):
         m = build_model(TINY, seed=9)

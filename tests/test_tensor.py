@@ -396,6 +396,20 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             finite_difference_gradient(lambda t: T.tsum(t), t64([1.0]), h=0.0)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_checks_reject_no_samples(self, samples):
+        # zero samples would compare no coordinate and report a pass
+        from winmix.gradcheck import model_gradcheck, sampled_check
+        from winmix.model import preset
+
+        def never(arrays):
+            raise AssertionError("loss evaluated")
+
+        with pytest.raises(ValueError, match="samples_per_leaf must be >= 1"):
+            sampled_check(never, {"w": np.ones(3)}, np.random.default_rng(0), samples)
+        with pytest.raises(ValueError, match="samples_per_leaf must be >= 1"):
+            model_gradcheck(preset("toy-desk"), samples_per_leaf=samples)
+
 
 OPS = [
     ("matmul", lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((4, 2))),
