@@ -11,7 +11,7 @@ attention layer touches the whole window.
 
 import numpy as np
 
-from winmix import Tensor, init_aggregator, param_shapes
+from winmix import Tensor, init_param, param_shapes
 from winmix.aggregators import aggregate
 
 ws, c = 7, 12
@@ -24,20 +24,20 @@ for kind, kwargs in [
     ("MLP", dict(gs=3, rho=4)),
     ("MHSA", dict(heads=4)),
 ]:
-    params = init_aggregator(kind, c, ws, seed=1, dtype=np.float64, **kwargs)
-    out = aggregate(kind, windows, params)
-    n_params = sum(t.size for _, t in params.tensors())
-    print(f"{kind:9s} out {out.shape}  params {n_params:6d}")
     spec = param_shapes(kind, c, ws, **kwargs)
+    init_rng = np.random.default_rng(1)
+    params = {name: init_param(name, shape, init_rng, np.float64) for name, shape in spec.items()}
+    out = aggregate(kind, windows, params)
+    n_params = sum(t.size for t in params.values())
+    print(f"{kind:9s} out {out.shape}  params {n_params:6d}")
     print("          " + ", ".join(f"{n}{list(s)}" for n, s in spec.items()))
 
 # --- influence pattern: perturb one token, watch which outputs move --------
 print("\ninfluence of token (2, 4) inside one window:")
 for kind, kwargs in [("Linear", dict(gs=3)), ("MHSA", dict(heads=4))]:
-    params = init_aggregator(kind, c, ws, seed=1, dtype=np.float64, **kwargs)
-    # randomize so no weight is accidentally zero
-    for name, t in params.tensors():
-        setattr(params, name, Tensor(rng.standard_normal(t.shape), dtype=np.float64))
+    # random values, so no weight is accidentally zero
+    params = {name: Tensor(rng.standard_normal(shape), dtype=np.float64)
+              for name, shape in param_shapes(kind, c, ws, **kwargs).items()}
     base = aggregate(kind, windows, params).numpy()
     moved = windows.numpy().copy()
     moved[0, 2 * ws + 4, :] += 1.0

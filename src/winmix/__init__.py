@@ -36,11 +36,10 @@ from .geometry import (
     messenger_exchange,
 )
 from .aggregators import (
-    AggParams,
     param_shapes,
     axial_forward,
     window_mhsa_forward,
-    init_aggregator,
+    init_param,
 )
 from .model import (
     ModelConfig,

@@ -18,13 +18,17 @@ The fourth, ``MHSA``, is multi-head self-attention with a learned relative
 position bias.
 
 ``param_shapes`` is the one place where parameter names, shapes and order
-are written: ``init_aggregator``, the model's parameter lookup and the
-checkpoint records all follow it. Axial inputs are (B, C, ws*ws) with tokens
-flattened row-major; attention inputs, and ``aggregate``'s windows, are
-token-major (B, ws*ws, C).
+are written; the model's table, init draws and checkpoint records follow it.
+A layer's parameters are a plain dict keyed by those names, and its sizes
+are read from shapes: ws from the token count, gs from the axial weight
+width, heads from ``rel_bias``. ``init_param`` is the model's one init rule.
+Axial inputs are (B, C, ws*ws) with tokens flattened row-major; attention
+inputs, and ``aggregate``'s windows, are token-major (B, ws*ws, C).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special as _sp
@@ -33,11 +37,10 @@ from . import tensor as T
 from .tensor import ShapeError, Tensor
 
 __all__ = [
-    "AggParams",
     "param_shapes",
     "axial_forward",
     "window_mhsa_forward",
-    "init_aggregator",
+    "init_param",
     "aggregate",
     "AGGREGATOR_KINDS",
 ]
@@ -45,20 +48,15 @@ __all__ = [
 AGGREGATOR_KINDS = ("Linear", "DWLinear", "MLP", "MHSA")
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in AGGREGATOR_KINDS:
-        raise ValueError(f"unknown aggregator kind {kind!r}; expected one of {AGGREGATOR_KINDS}")
-
-
 def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
                  rho: int = 4) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape of one aggregation layer's parameters.
 
-    The order is both the init draw order and the checkpoint record order.
-    Names starting with ``w`` are weights (truncated normal at init); the
-    rest, biases and ``rel_bias``, start at zero.
+    The order is both the init draw order and the checkpoint record order;
+    ``init_param`` gives each name its initial value.
     """
-    _check_kind(kind)
+    if kind not in AGGREGATOR_KINDS:
+        raise ValueError(f"unknown aggregator kind {kind!r}; expected one of {AGGREGATOR_KINDS}")
     if kind == "MHSA":
         if heads < 1 or c % heads:
             raise ShapeError(f"channels {c} not divisible by heads {heads}")
@@ -79,39 +77,18 @@ def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
     return shapes | {"w_p": (c, c), "b_p": (c,)}
 
 
-class AggParams:
-    """Parameters of one aggregation layer.
-
-    Holds the layer's ``kind`` and hyperparameters (``ws``, ``gs``,
-    ``heads``, ``rho``) plus one tensor attribute per ``param_shapes`` name.
-    """
-
-    def __init__(self, kind: str, ws: int, gs: int = 1, heads: int = 1, rho: int = 4,
-                 **tensors: Tensor):
-        _check_kind(kind)
-        self.kind, self.ws, self.gs, self.heads, self.rho = kind, ws, gs, heads, rho
-        self.names = tuple(tensors)
-        for name, t in tensors.items():
-            setattr(self, name, t)
-
-    def tensors(self) -> list[tuple[str, Tensor]]:
-        """(name, tensor) pairs in the order they were given."""
-        return [(name, getattr(self, name)) for name in self.names]
-
-
 def _check_groups(c: int, gs: int) -> int:
     if gs < 1 or c % gs:
         raise ShapeError(f"channels {c} not divisible by group size {gs}")
     return c // gs
 
 
-def _axial_split(x: Tensor, gs: int, ws: int) -> Tensor:
-    """(B, C, ws*ws) -> (B, groups, gs, h, w)."""
-    b, c, n = x.shape
-    if n != ws * ws:
-        raise ShapeError(f"token axis {n} != ws*ws = {ws * ws}")
-    g = _check_groups(c, gs)
-    return T.reshape(x, (b, g, gs, ws, ws))
+def _window_side(n: int) -> int:
+    """ws of a window of n tokens."""
+    ws = math.isqrt(n)
+    if ws * ws != n:
+        raise ShapeError(f"token axis {n} is not a square window")
+    return ws
 
 
 def _axial_join(x: Tensor) -> Tensor:
@@ -162,36 +139,41 @@ def _grouped_linear(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _axial_map(p: AggParams, axis: str, v: Tensor) -> Tensor:
+def _axial_map(kind: str, p: dict[str, Tensor], axis: str, v: Tensor) -> Tensor:
     """The kind's map on every (gs*ws)-vector of one axis (``h`` or ``w``)."""
-    if p.kind == "MLP":
-        hidden = T.gelu(T.linear(v, getattr(p, f"w1_{axis}"), getattr(p, f"b1_{axis}")))
-        return T.linear(hidden, getattr(p, f"w2_{axis}"), getattr(p, f"b2_{axis}"))
-    affine = _grouped_linear if p.kind == "DWLinear" else T.linear
-    return affine(v, getattr(p, f"w_{axis}"), getattr(p, f"b_{axis}"))
+    if kind == "MLP":
+        hidden = T.gelu(T.linear(v, p[f"w1_{axis}"], p[f"b1_{axis}"]))
+        return T.linear(hidden, p[f"w2_{axis}"], p[f"b2_{axis}"])
+    affine = _grouped_linear if kind == "DWLinear" else T.linear
+    return affine(v, p[f"w_{axis}"], p[f"b_{axis}"])
 
 
-def axial_forward(x: Tensor, p: AggParams, layout_faithful: bool = False) -> Tensor:
+def axial_forward(x: Tensor, kind: str, p: dict[str, Tensor],
+                  layout_faithful: bool = False) -> Tensor:
     """Grouped axial mixing of one batch of windows (Linear, DWLinear, MLP).
 
     ``x`` is (B, C, ws*ws). The default reading maps (group-channels x
     heights) per width column and (group-channels x widths) per height row.
     With ``layout_faithful`` the width branch instead maps raw row-major
     (gs*ws)-chunks of the flattened window, which interleaves channel and
-    height indices.
+    height indices. gs is the axial weight width over ws.
     """
-    if p.kind == "MHSA":
-        raise ValueError("MHSA is not an axial aggregator; use window_mhsa_forward")
-    gs, ws = p.gs, p.ws
-    x5 = _axial_split(x, gs, ws)
-    hf = _axial_join(_height_restore(_axial_map(p, "h", _height_vectors(x5)), gs, ws))
+    if kind not in ("Linear", "DWLinear", "MLP"):
+        raise ValueError(f"{kind!r} is not an axial aggregator")
+    b, c, n = x.shape
+    ws = _window_side(n)
+    k = p["w1_h" if kind == "MLP" else "w_h"].shape[-1]
+    if k % ws:
+        raise ShapeError(f"axial weight width {k} is not a multiple of ws {ws}")
+    gs = k // ws
+    x5 = T.reshape(x, (b, _check_groups(c, gs), gs, ws, ws))
+    hf = _axial_join(_height_restore(_axial_map(kind, p, "h", _height_vectors(x5)), gs, ws))
     if layout_faithful:
-        b, c, n = x.shape
         wv = T.reshape(x, (b, c // gs, ws, gs * ws))
-        wf = T.reshape(_axial_map(p, "w", wv), (b, c, n))
+        wf = T.reshape(_axial_map(kind, p, "w", wv), (b, c, n))
     else:
-        wf = _axial_join(_width_restore(_axial_map(p, "w", _width_vectors(x5)), gs, ws))
-    return _pointwise(hf + wf, p.w_p, p.b_p)
+        wf = _axial_join(_width_restore(_axial_map(kind, p, "w", _width_vectors(x5)), gs, ws))
+    return _pointwise(hf + wf, p["w_p"], p["b_p"])
 
 
 def relative_position_index(ws: int) -> np.ndarray:
@@ -202,36 +184,37 @@ def relative_position_index(ws: int) -> np.ndarray:
     return rel[0] * (2 * ws - 1) + rel[1]
 
 
-def window_mhsa_forward(x: Tensor, p: AggParams) -> Tensor:
+def window_mhsa_forward(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Scaled dot-product attention inside each window.
 
     ``x`` is token-major (B, ws*ws, C); the learned relative position bias is
-    added to the logits before softmax; scale is (C/heads)^(-1/2).
+    added to the logits before softmax; scale is (C/heads)^(-1/2), with heads
+    the leading dimension of ``rel_bias``.
     """
     b, n, c = x.shape
-    heads, ws = p.heads, p.ws
-    if c % heads:
+    ws, heads = _window_side(n), p["rel_bias"].shape[0]
+    if heads < 1 or c % heads:
         raise ShapeError(f"channels {c} not divisible by heads {heads}")
-    if n != ws * ws:
-        raise ShapeError(f"token count {n} != ws*ws = {ws * ws}")
+    if p["rel_bias"].shape[1:] != ((2 * ws - 1) ** 2,):
+        raise ShapeError(f"rel_bias {p['rel_bias'].shape} does not fit window side {ws}")
     dh = c // heads
     scale = dh ** -0.5
 
     def split_heads(t):
         return T.transpose(T.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(T.linear(x, p.w_q, p.b_q))
-    k = split_heads(T.linear(x, p.w_k, p.b_k))
-    v = split_heads(T.linear(x, p.w_v, p.b_v))
+    q = split_heads(T.linear(x, p["w_q"], p["b_q"]))
+    k = split_heads(T.linear(x, p["w_k"], p["b_k"]))
+    v = split_heads(T.linear(x, p["w_v"], p["b_v"]))
 
     logits = T.matmul(q * scale, T.transpose(k, (0, 1, 3, 2)))
-    bias = T.index_select(T.transpose(p.rel_bias, (1, 0)), relative_position_index(ws).reshape(-1))
+    bias = T.index_select(T.transpose(p["rel_bias"], (1, 0)), relative_position_index(ws).reshape(-1))
     bias = T.transpose(T.reshape(bias, (n, n, heads)), (2, 0, 1))
     attn = T.softmax_last_axis(logits + bias)
 
     out = T.matmul(attn, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, c))
-    return T.linear(out, p.w_o, p.b_o)
+    return T.linear(out, p["w_o"], p["b_o"])
 
 
 # -- initialization -----------------------------------------------------------
@@ -246,37 +229,29 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
     return Tensor((_sp.ndtri(u) * std).astype(dtype), requires_grad=True)
 
 
-def zeros_param(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def init_param(leaf: str, shape, rng: np.random.Generator, dtype=np.float32) -> Tensor:
+    """The one init rule, by a parameter's last name part: weights (``w*``
+    and ``msg_init``) truncated normal at std 0.02, norm gains ``g`` one,
+    the rest (biases, ``rel_bias``) zero. Only weights draw from ``rng``."""
+    if leaf.startswith("w") or leaf == "msg_init":
+        return trunc_normal(rng, shape, dtype=dtype)
+    fill = np.ones if leaf == "g" else np.zeros
+    return Tensor(fill(shape, dtype=dtype), requires_grad=True)
 
 
-def init_aggregator(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
-                    rho: int = 4, seed: int = 0, dtype=np.float32) -> AggParams:
-    """Build freshly initialized parameters for one aggregation layer.
-
-    Weights are truncated-normal (std 0.02), biases and the relative bias
-    table zero, drawn in ``param_shapes`` order. The same seed always yields
-    bit-identical parameters.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    shapes = param_shapes(kind, c, ws, gs, heads, rho)
-    return AggParams(kind, ws, gs, heads, rho, **{
-        name: trunc_normal(rng, shape, dtype=dtype) if name.startswith("w")
-        else zeros_param(shape, dtype)
-        for name, shape in shapes.items()})
-
-
-def aggregate(kind: str, windows: Tensor, params: AggParams,
+def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor],
               layout_faithful: bool = False) -> Tensor:
     """Uniform entry point: token-major windows (B, ws*ws, C) in and out.
 
-    ``kind`` must equal ``params.kind``; it names the layer for callers that
-    wrap this function.
+    ``params`` maps exactly the ``param_shapes`` names of ``kind`` to
+    tensors; a missing or extra name raises ValueError. ``kind`` comes
+    first, as it names the layer for callers that wrap this function.
     """
-    if kind != params.kind:
-        raise ValueError(f"aggregate kind {kind!r} does not match parameters of kind "
-                         f"{params.kind!r}")
+    names = param_shapes(kind, 1, 1)  # a kind's names do not depend on sizes
+    if set(params) != set(names):
+        raise ValueError(f"aggregator {kind!r} takes parameters {sorted(names)}, "
+                         f"got {sorted(params)}")
     if kind == "MHSA":
         return window_mhsa_forward(windows, params)
     x = T.transpose(windows, (0, 2, 1))
-    return T.transpose(axial_forward(x, params, layout_faithful), (0, 2, 1))
+    return T.transpose(axial_forward(x, kind, params, layout_faithful), (0, 2, 1))

@@ -94,43 +94,34 @@ def _balanced_labels(n: int, classes: int) -> np.ndarray:
     return np.tile(np.arange(classes), n // classes)
 
 
-def _gratings(rng, labels, spec: DatasetSpec) -> np.ndarray:
-    n = labels.size
-    s = spec.size
-    grid = (np.arange(s) + 0.5) / s
-    u, v = np.meshgrid(grid, grid, indexing="ij")
-
-    theta = np.pi * (labels + 0.5) / spec.classes
-    theta = theta + rng.uniform(-spec.orient_jitter, spec.orient_jitter, n)
-    freq = spec.base_freq + spec.freq_step * labels
-    phase = rng.uniform(-spec.phase_jitter, spec.phase_jitter, n)
-    amp = rng.uniform(spec.amp_min, spec.amp_max, n)
-
-    arg = (2.0 * np.pi * freq[:, None, None]
-           * (u[None] * np.cos(theta)[:, None, None]
-              + v[None] * np.sin(theta)[:, None, None])
-           + phase[:, None, None])
-    base = 0.5 + amp[:, None, None] * np.sin(arg)
-    images = np.repeat(base[..., None], 3, axis=-1)
-    images = images + rng.normal(0.0, spec.noise, images.shape)
-    return np.clip(images, 0.0, 1.0).astype(np.float32)
-
-
-def _parity_patch(rng, bits, spec: DatasetSpec, side: int) -> np.ndarray:
-    """Oriented grating patches for one quadrant, orientation chosen by bit."""
-    n = bits.size
+def _grating(rng, theta, freq, side: int, spec: DatasetSpec) -> np.ndarray:
+    """(n, side, side) sinusoidal gratings at base orientations ``theta`` (n,)
+    and frequency ``freq`` (scalar or (n,)), with jittered orientation,
+    phase and amplitude drawn in that order."""
+    n = theta.size
     grid = (np.arange(side) + 0.5) / side
     u, v = np.meshgrid(grid, grid, indexing="ij")
-    theta = np.where(bits == 0, np.pi / 4, 3 * np.pi / 4)
     theta = theta + rng.uniform(-spec.orient_jitter, spec.orient_jitter, n)
     phase = rng.uniform(-spec.phase_jitter, spec.phase_jitter, n)
     amp = rng.uniform(spec.amp_min, spec.amp_max, n)
-    freq = spec.base_freq + spec.freq_step
-    arg = (2.0 * np.pi * freq
+    arg = (2.0 * np.pi * np.reshape(freq, (-1, 1, 1))
            * (u[None] * np.cos(theta)[:, None, None]
               + v[None] * np.sin(theta)[:, None, None])
            + phase[:, None, None])
     return 0.5 + amp[:, None, None] * np.sin(arg)
+
+
+def _rgb(rng, gray: np.ndarray, noise: float) -> np.ndarray:
+    """(n, h, w) gray -> (n, h, w, 3) float32 with pixel noise, clipped to [0, 1]."""
+    images = np.repeat(gray[..., None], 3, axis=-1)
+    images = images + rng.normal(0.0, noise, images.shape)
+    return np.clip(images, 0.0, 1.0).astype(np.float32)
+
+
+def _gratings(rng, labels, spec: DatasetSpec) -> np.ndarray:
+    theta = np.pi * (labels + 0.5) / spec.classes
+    freq = spec.base_freq + spec.freq_step * labels
+    return _rgb(rng, _grating(rng, theta, freq, spec.size, spec), spec.noise)
 
 
 def _parity_images(rng, labels, spec: DatasetSpec) -> np.ndarray:
@@ -140,11 +131,10 @@ def _parity_images(rng, labels, spec: DatasetSpec) -> np.ndarray:
     first = rng.integers(0, 2, n)
     second = first ^ labels  # parity: label 0 = same orientation, 1 = different
     images = np.full((n, s, s), 0.5)
-    images[:, :half, :half] = _parity_patch(rng, first, spec, half)
-    images[:, half:, half:] = _parity_patch(rng, second, spec, half)
-    images = np.repeat(images[..., None], 3, axis=-1)
-    images = images + rng.normal(0.0, spec.noise, images.shape)
-    return np.clip(images, 0.0, 1.0).astype(np.float32)
+    for bits, quadrant in ((first, np.s_[:, :half, :half]), (second, np.s_[:, half:, half:])):
+        theta = np.where(bits == 0, np.pi / 4, 3 * np.pi / 4)
+        images[quadrant] = _grating(rng, theta, spec.base_freq + spec.freq_step, half, spec)
+    return _rgb(rng, images, spec.noise)
 
 
 def _seam_phase_images(rng, labels, spec: DatasetSpec) -> np.ndarray:
@@ -159,10 +149,7 @@ def _seam_phase_images(rng, labels, spec: DatasetSpec) -> np.ndarray:
     right = np.sin(2 * np.pi * cols[None, s // 2:] / period
                    + phase[:, None] + flip[:, None])
     rows = np.concatenate([left, right], axis=1)
-    images = 0.5 + 0.4 * np.broadcast_to(rows[:, None, :], (n, h, s)).copy()
-    images = np.repeat(images[..., None], 3, axis=-1)
-    images = images + rng.normal(0.0, 0.05, images.shape)
-    return np.clip(images, 0.0, 1.0).astype(np.float32)
+    return _rgb(rng, 0.5 + 0.4 * np.broadcast_to(rows[:, None, :], (n, h, s)), 0.05)
 
 
 def gen_dataset(spec: DatasetSpec) -> SyntheticDataset:

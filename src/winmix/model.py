@@ -22,7 +22,6 @@ import numpy as np
 from . import aggregators as agg
 from . import geometry as geo
 from . import tensor as T
-from .aggregators import trunc_normal, zeros_param
 from .geometry import FeatureMap
 from .io import CheckpointError, dataclass_from_dict, load_checkpoint, save_checkpoint
 from .tensor import Tensor
@@ -228,11 +227,10 @@ def table_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
-    """Instantiate every parameter of the configured model, in ``table_shapes``
-    order from one seeded generator, so identical (config, seed) pairs give
-    bit-identical tables. Weights (``msg_init`` and last parts starting with
-    ``w``) are truncated normal, norm gains ``.g`` one, the rest zero; each
-    aggregator draws from its own generator seeded by the main one.
+    """Instantiate every parameter of the configured model by
+    ``aggregators.init_param``, in ``table_shapes`` order from one seeded
+    generator, so identical (config, seed) pairs give bit-identical tables.
+    Each aggregator draws from its own generator seeded by the main one.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
@@ -241,23 +239,15 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
         prefix, _, leaf = name.rpartition(".")
         if prefix.endswith(".agg") and prefix != agg_prefix:
             agg_prefix, agg_rng = prefix, np.random.default_rng(int(rng.integers(2 ** 63)))
-        if leaf.startswith("w") or leaf == "msg_init":
-            params[name] = trunc_normal(agg_rng if prefix == agg_prefix else rng, shape,
-                                        dtype=dtype)
-        elif leaf == "g":
-            params[name] = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-        else:
-            params[name] = zeros_param(shape, dtype)
+        params[name] = agg.init_param(leaf, shape, agg_rng if prefix == agg_prefix else rng,
+                                      dtype)
     return Model(config=cfg, params=params, dtype=np.dtype(dtype))
 
 
-def _agg_params(model: Model, prefix: str, stage: int) -> agg.AggParams:
-    cfg = model.config
-    _, gs = stage_groups(cfg, stage)
-    hp = dict(ws=cfg.window, gs=gs, heads=stage_heads(cfg, stage), rho=cfg.mlp_ratio)
-    names = agg.param_shapes(cfg.aggregator, stage_channels(cfg, stage), **hp)
-    return agg.AggParams(cfg.aggregator, **hp,
-                         **{name: model.params[f"{prefix}.agg.{name}"] for name in names})
+def _agg_params(model: Model, prefix: str) -> dict[str, Tensor]:
+    """The block's aggregator parameters, keyed by their ``param_shapes`` names."""
+    return {name: model.params[f"{prefix}.agg.{name}"]
+            for name in agg.param_shapes(model.config.aggregator, 1, 1)}
 
 
 # -- forward pieces -----------------------------------------------------------
@@ -350,8 +340,7 @@ def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
 
     normed = T.layer_norm(win, model.params[f"{prefix}.norm1.g"],
                           model.params[f"{prefix}.norm1.b"])
-    win = win + agg.aggregate(cfg.aggregator, normed,
-                              _agg_params(model, prefix, stage),
+    win = win + agg.aggregate(cfg.aggregator, normed, _agg_params(model, prefix),
                               cfg.layout_faithful)
 
     fm = geo.window_reverse(win, fm.height, fm.width)

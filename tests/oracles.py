@@ -2,8 +2,9 @@
 
 Everything here is written with plain numpy and explicit loops, deliberately
 avoiding the library's tensor/geometry code paths, so agreement between the
-two routes is meaningful. The one exception, ``block_forward_windowed_ffn``,
-composes the library's own ops in a different order.
+two routes is meaningful. The exceptions: ``block_forward_windowed_ffn``
+composes the library's own ops in a different order, and ``agg_params``
+draws test parameters by the library's init rule.
 """
 
 import math
@@ -104,21 +105,33 @@ def linmapper_loops(x, w_h, b_h, w_w, b_w, w_p, b_p, gs, ws, layout_faithful=Fal
     return out
 
 
+def agg_params(kind, c, ws, gs=1, heads=1, rho=4, seed=0, dtype=np.float32):
+    """One aggregation layer's name -> tensor dict, drawn in ``param_shapes``
+    order by ``init_param`` from a generator seeded with ``seed``."""
+    from winmix.aggregators import init_param, param_shapes
+
+    rng = np.random.default_rng(seed)
+    return {name: init_param(name, shape, rng, dtype)
+            for name, shape in param_shapes(kind, c, ws, gs, heads, rho).items()}
+
+
 def mhsa_loops(x, p):
-    """Direct attention evaluation per window, head by head."""
+    """Direct attention evaluation per window, head by head; ``p`` maps the
+    MHSA parameter names to tensors."""
     from winmix.aggregators import relative_position_index
 
+    p = {name: t.numpy().astype(np.float64) for name, t in p.items()}
     x = np.asarray(x, dtype=np.float64)
     bsz, n, c = x.shape
-    heads, ws = p.heads, p.ws
+    heads, ws = p["rel_bias"].shape[0], math.isqrt(n)
     dh = c // heads
     idx = relative_position_index(ws)
-    table = p.rel_bias.numpy().astype(np.float64)
+    table = p["rel_bias"]
     out = np.zeros_like(x)
     for b in range(bsz):
-        q = x[b] @ p.w_q.numpy().T.astype(np.float64) + p.b_q.numpy()
-        k = x[b] @ p.w_k.numpy().T.astype(np.float64) + p.b_k.numpy()
-        v = x[b] @ p.w_v.numpy().T.astype(np.float64) + p.b_v.numpy()
+        q = x[b] @ p["w_q"].T + p["b_q"]
+        k = x[b] @ p["w_k"].T + p["b_k"]
+        v = x[b] @ p["w_v"].T + p["b_v"]
         merged = np.zeros((n, c))
         for h in range(heads):
             qh = q[:, h * dh:(h + 1) * dh] * dh ** -0.5
@@ -127,7 +140,7 @@ def mhsa_loops(x, p):
             logits = qh @ kh.T + table[h][idx]
             attn = softmax_ref(logits)
             merged[:, h * dh:(h + 1) * dh] = attn @ vh
-        out[b] = merged @ p.w_o.numpy().T.astype(np.float64) + p.b_o.numpy()
+        out[b] = merged @ p["w_o"].T + p["b_o"]
     return out
 
 
@@ -221,7 +234,7 @@ def block_forward_windowed_ffn(model, x, stage, index, msg=None):
                         p[f"{prefix}.msg.distribute.b"])
         win = win + T.reshape(dist, (dist.shape[0], 1, dist.shape[1]))
     normed = T.layer_norm(win, p[f"{prefix}.norm1.g"], p[f"{prefix}.norm1.b"])
-    win = win + agg.aggregate(cfg.aggregator, normed, M._agg_params(model, prefix, stage),
+    win = win + agg.aggregate(cfg.aggregator, normed, M._agg_params(model, prefix),
                               cfg.layout_faithful)
     normed = T.layer_norm(win, p[f"{prefix}.norm2.g"], p[f"{prefix}.norm2.b"])
     win = win + M._ffn(model, prefix, normed)

@@ -15,7 +15,7 @@ import pytest
 import winmix as wm
 from winmix import model as M
 from winmix import tensor as T
-from winmix.aggregators import AGGREGATOR_KINDS, aggregate, init_aggregator
+from winmix.aggregators import AGGREGATOR_KINDS, aggregate, axial_forward, param_shapes
 from winmix.analytics import connectivity, count_flops, count_params, flops_oracle
 from winmix.data import DatasetSpec, gen_dataset
 from winmix.geometry import (
@@ -203,20 +203,12 @@ def test_criterion_3_comm_none_control():
 
 # -- criterion 4: gradient suite ------------------------------------------------
 
-def _agg_loss_fn(kind, c, ws, gs, heads, rho, x_np, probe):
-    names = None
-
+def _agg_loss_fn(kind, probe):
     def loss_fn(arrays):
-        params = init_aggregator(kind, c, ws, gs=gs, heads=heads, rho=rho,
-                                 seed=0, dtype=np.float64)
-        leaves = {}
-        for name, _ in params.tensors():
-            t = Tensor(arrays[name], dtype=np.float64, requires_grad=True)
-            setattr(params, name, t)
-            leaves[name] = t
-        x = Tensor(arrays["__x"], dtype=np.float64, requires_grad=True)
-        leaves["__x"] = x
-        out = aggregate(kind, x, params)
+        leaves = {name: Tensor(a, dtype=np.float64, requires_grad=True)
+                  for name, a in arrays.items()}
+        params = {name: t for name, t in leaves.items() if name != "__x"}
+        out = aggregate(kind, leaves["__x"], params)
         return T.tsum(T.mul(out, Tensor(probe, dtype=np.float64))), leaves
 
     return loss_fn
@@ -229,13 +221,11 @@ def test_criterion_4_aggregator_gradients():
         errs = []
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            template = init_aggregator(kind, c, ws, gs=2, heads=2, rho=2,
-                                       seed=seed, dtype=np.float64)
-            arrays = {name: rng.standard_normal(t.shape) * 0.5
-                      for name, t in template.tensors()}
+            arrays = {name: rng.standard_normal(shape) * 0.5 for name, shape
+                      in param_shapes(kind, c, ws, gs=2, heads=2, rho=2).items()}
             arrays["__x"] = rng.standard_normal((2, ws * ws, c))
             probe = rng.standard_normal((2, ws * ws, c))
-            fn = _agg_loss_fn(kind, c, ws, 2, 2, 2, arrays["__x"], probe)
+            fn = _agg_loss_fn(kind, probe)
             errs.append(sampled_check(fn, arrays, rng, samples_per_leaf=2))
         worst[kind] = max(errs)
     ok = all(e < 1e-4 for e in worst.values())
@@ -311,17 +301,15 @@ def test_criterion_5_round_trips_bit_exact():
 def test_criterion_5_axial_cross_jacobian_ws7():
     rng = np.random.default_rng(1)
     ws, gs, c = 7, 3, 6
-    p = init_aggregator("Linear", c, ws, gs=gs, seed=2, dtype=np.float64)
-    for name, t in p.tensors():
-        setattr(p, name, Tensor(rng.standard_normal(t.shape), dtype=np.float64))
+    p = {name: Tensor(rng.standard_normal(shape), dtype=np.float64)
+         for name, shape in param_shapes("Linear", c, ws, gs=gs).items()}
     x = rng.standard_normal((1, c, ws * ws))
-    from winmix.aggregators import axial_forward
-    base = axial_forward(Tensor(x, dtype=np.float64), p).numpy()
+    base = axial_forward(Tensor(x, dtype=np.float64), "Linear", p).numpy()
     ok = True
     for (h, w) in [(0, 0), (2, 6), (3, 3), (6, 1)]:
         probe = x.copy()
         probe[0, :, h * ws + w] += 1.0
-        delta = np.abs(axial_forward(Tensor(probe, dtype=np.float64), p).numpy()
+        delta = np.abs(axial_forward(Tensor(probe, dtype=np.float64), "Linear", p).numpy()
                        - base).sum(axis=1).reshape(ws, ws)
         cross = np.zeros((ws, ws), dtype=bool)
         cross[h, :] = True

@@ -5,7 +5,7 @@ from winmix import aggregators as A
 from winmix import tensor as T
 from winmix.tensor import ShapeError, Tensor
 
-from oracles import gelu_ref, linmapper_loops, mhsa_loops
+from oracles import agg_params, gelu_ref, linmapper_loops, mhsa_loops
 
 
 def t64(arr):
@@ -17,8 +17,7 @@ def linear_params(rng, c, ws, gs, w_h=None, w_w=None, w_p=None, zeros_bias=True)
     def pick(given, shape):
         return np.asarray(given, dtype=np.float64) if given is not None \
             else rng.standard_normal(shape)
-    return A.AggParams(
-        "Linear", ws=ws, gs=gs,
+    return dict(
         w_h=t64(pick(w_h, (k, k))), b_h=t64(np.zeros(k) if zeros_bias else rng.standard_normal(k)),
         w_w=t64(pick(w_w, (k, k))), b_w=t64(np.zeros(k) if zeros_bias else rng.standard_normal(k)),
         w_p=t64(pick(w_p, (c, c))), b_p=t64(np.zeros(c)))
@@ -30,7 +29,7 @@ class TestLinMapper:
         p = linear_params(rng, 4, 2, 2, w_h=np.zeros((4, 4)), w_w=np.zeros((4, 4)),
                           w_p=np.eye(4))
         x = t64(rng.standard_normal((3, 4, 4)))
-        out = A.axial_forward(x, p)
+        out = A.axial_forward(x, "Linear", p)
         np.testing.assert_array_equal(out.numpy(), 0.0)
 
     def test_identity_maps_with_half_projection(self):
@@ -39,7 +38,7 @@ class TestLinMapper:
         p = linear_params(rng, 3, 2, 3, w_h=np.eye(k), w_w=np.eye(k),
                           w_p=0.5 * np.eye(3))
         x = t64(rng.standard_normal((2, 3, 4)))
-        out = A.axial_forward(x, p)
+        out = A.axial_forward(x, "Linear", p)
         np.testing.assert_allclose(out.numpy(), x.numpy(), rtol=1e-12)
 
     def test_height_swap_window(self):
@@ -47,7 +46,7 @@ class TestLinMapper:
         p = linear_params(np.random.default_rng(2), 1, 2, 1,
                           w_h=[[0, 1], [1, 0]], w_w=np.zeros((2, 2)), w_p=[[1.0]])
         x = t64(np.array([[[1.0, 2.0, 3.0, 4.0]]]))  # window [[1,2],[3,4]]
-        out = A.axial_forward(x, p).numpy()
+        out = A.axial_forward(x, "Linear", p).numpy()
         np.testing.assert_array_equal(out, [[[3.0, 4.0, 1.0, 2.0]]])
 
     @pytest.mark.parametrize("layout", [False, True])
@@ -57,9 +56,9 @@ class TestLinMapper:
         c, ws, gs = 6, 3, 2
         p = linear_params(rng, c, ws, gs, zeros_bias=False)
         x = rng.standard_normal((2, c, ws * ws))
-        got = A.axial_forward(t64(x), p, layout_faithful=layout).numpy()
-        want = linmapper_loops(x, p.w_h.numpy(), p.b_h.numpy(), p.w_w.numpy(),
-                               p.b_w.numpy(), p.w_p.numpy(), p.b_p.numpy(),
+        got = A.axial_forward(t64(x), "Linear", p, layout_faithful=layout).numpy()
+        want = linmapper_loops(x, p["w_h"].numpy(), p["b_h"].numpy(), p["w_w"].numpy(),
+                               p["b_w"].numpy(), p["w_p"].numpy(), p["b_p"].numpy(),
                                gs, ws, layout_faithful=layout)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -67,8 +66,8 @@ class TestLinMapper:
         rng = np.random.default_rng(20)
         p = linear_params(rng, 4, 2, 2, zeros_bias=False)
         x = t64(rng.standard_normal((1, 4, 4)))
-        sym = A.axial_forward(x, p, layout_faithful=False).numpy()
-        lit = A.axial_forward(x, p, layout_faithful=True).numpy()
+        sym = A.axial_forward(x, "Linear", p, layout_faithful=False).numpy()
+        lit = A.axial_forward(x, "Linear", p, layout_faithful=True).numpy()
         assert np.abs(sym - lit).max() > 1e-6
 
     def test_layout_mode_equal_when_gs_1(self):
@@ -76,13 +75,13 @@ class TestLinMapper:
         rng = np.random.default_rng(21)
         p = linear_params(rng, 3, 2, 1, zeros_bias=False)
         x = t64(rng.standard_normal((2, 3, 4)))
-        sym = A.axial_forward(x, p, layout_faithful=False).numpy()
-        lit = A.axial_forward(x, p, layout_faithful=True).numpy()
+        sym = A.axial_forward(x, "Linear", p, layout_faithful=False).numpy()
+        lit = A.axial_forward(x, "Linear", p, layout_faithful=True).numpy()
         np.testing.assert_allclose(sym, lit, rtol=1e-12)
 
     def test_group_divisibility_enforced(self):
         with pytest.raises(ShapeError):
-            A.axial_forward(t64(np.zeros((1, 5, 4))),
+            A.axial_forward(t64(np.zeros((1, 5, 4))), "Linear",
                             linear_params(np.random.default_rng(22), 4, 2, 2))
 
     def test_axial_cross_jacobian_sparsity_ws7(self):
@@ -91,11 +90,11 @@ class TestLinMapper:
         ws, gs, c = 7, 2, 4
         p = linear_params(rng, c, ws, gs, zeros_bias=False)
         x = rng.standard_normal((1, c, ws * ws))
-        base = A.axial_forward(t64(x), p).numpy()
+        base = A.axial_forward(t64(x), "Linear", p).numpy()
         for (h, w) in [(0, 0), (3, 5), (6, 2)]:
             probe = x.copy()
             probe[0, :, h * ws + w] += 1.0
-            moved = A.axial_forward(t64(probe), p).numpy()
+            moved = A.axial_forward(t64(probe), "Linear", p).numpy()
             delta = np.abs(moved - base).sum(axis=1).reshape(ws, ws)
             affected = delta > 1e-12
             cross = np.zeros((ws, ws), dtype=bool)
@@ -109,8 +108,7 @@ class TestDWLinMapper:
     def dw_params(self, rng, c, ws, gs):
         g = c // gs
         k = gs * ws
-        return A.AggParams(
-            "DWLinear", ws=ws, gs=gs,
+        return dict(
             w_h=t64(rng.standard_normal((g, k, k))), b_h=t64(rng.standard_normal((g, k))),
             w_w=t64(rng.standard_normal((g, k, k))), b_w=t64(rng.standard_normal((g, k))),
             w_p=t64(rng.standard_normal((c, c))), b_p=t64(rng.standard_normal(c)))
@@ -120,27 +118,25 @@ class TestDWLinMapper:
         c, ws, gs = 6, 2, 2
         shared = linear_params(rng, c, ws, gs, zeros_bias=False)
         g = c // gs
-        dw = A.AggParams(
-            "DWLinear", ws=ws, gs=gs,
-            w_h=t64(np.stack([shared.w_h.numpy()] * g)), b_h=t64(np.stack([shared.b_h.numpy()] * g)),
-            w_w=t64(np.stack([shared.w_w.numpy()] * g)), b_w=t64(np.stack([shared.b_w.numpy()] * g)),
-            w_p=shared.w_p, b_p=shared.b_p)
+        dw = dict(
+            w_h=t64(np.stack([shared["w_h"].numpy()] * g)), b_h=t64(np.stack([shared["b_h"].numpy()] * g)),
+            w_w=t64(np.stack([shared["w_w"].numpy()] * g)), b_w=t64(np.stack([shared["b_w"].numpy()] * g)),
+            w_p=shared["w_p"], b_p=shared["b_p"])
         x = t64(rng.standard_normal((2, c, ws * ws)))
-        np.testing.assert_array_equal(A.axial_forward(x, dw).numpy(),
-                                      A.axial_forward(x, shared).numpy())
+        np.testing.assert_array_equal(A.axial_forward(x, "DWLinear", dw).numpy(),
+                                      A.axial_forward(x, "Linear", shared).numpy())
 
     def test_group_selective_weights(self):
         # group 0 passes through (identity + half projection), group 1 zeroed
         ws, gs, c = 2, 1, 2
         k = gs * ws
-        dw = A.AggParams(
-            "DWLinear", ws=ws, gs=gs,
+        dw = dict(
             w_h=t64(np.stack([np.eye(k), np.zeros((k, k))])), b_h=t64(np.zeros((2, k))),
             w_w=t64(np.stack([np.eye(k), np.zeros((k, k))])), b_w=t64(np.zeros((2, k))),
             w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)))
         rng = np.random.default_rng(31)
         x = rng.standard_normal((1, c, ws * ws))
-        out = A.axial_forward(t64(x), dw).numpy()
+        out = A.axial_forward(t64(x), "DWLinear", dw).numpy()
         np.testing.assert_allclose(out[0, 0], x[0, 0], rtol=1e-12)
         np.testing.assert_array_equal(out[0, 1], 0.0)
 
@@ -150,9 +146,9 @@ class TestDWLinMapper:
         c, ws, gs = 4, 2, 2
         p = self.dw_params(rng, c, ws, gs)
         x = rng.standard_normal((2, c, ws * ws))
-        got = A.axial_forward(t64(x), p).numpy()
-        want = linmapper_loops(x, p.w_h.numpy(), p.b_h.numpy(), p.w_w.numpy(),
-                               p.b_w.numpy(), p.w_p.numpy(), p.b_p.numpy(), gs, ws)
+        got = A.axial_forward(t64(x), "DWLinear", p).numpy()
+        want = linmapper_loops(x, p["w_h"].numpy(), p["b_h"].numpy(), p["w_w"].numpy(),
+                               p["b_w"].numpy(), p["w_p"].numpy(), p["b_p"].numpy(), gs, ws)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_same_flops_as_shared(self):
@@ -160,9 +156,9 @@ class TestDWLinMapper:
         c, ws, gs = 8, 2, 2
         x = t64(rng.standard_normal((3, c, ws * ws)))
         with T.count_macs() as shared_macs:
-            A.axial_forward(x, linear_params(rng, c, ws, gs))
+            A.axial_forward(x, "Linear", linear_params(rng, c, ws, gs))
         with T.count_macs() as dw_macs:
-            A.axial_forward(x, self.dw_params(rng, c, ws, gs))
+            A.axial_forward(x, "DWLinear", self.dw_params(rng, c, ws, gs))
         assert shared_macs[0] == dw_macs[0] > 0
 
 
@@ -170,8 +166,7 @@ class TestWindowMlp:
     def mlp_params(self, rng, c, ws, gs, rho):
         k = gs * ws
         hid = rho * k
-        return A.AggParams(
-            "MLP", ws=ws, gs=gs, rho=rho,
+        return dict(
             w1_h=t64(rng.standard_normal((hid, k))), b1_h=t64(rng.standard_normal(hid)),
             w2_h=t64(rng.standard_normal((k, hid))), b2_h=t64(rng.standard_normal(k)),
             w1_w=t64(rng.standard_normal((hid, k))), b1_w=t64(rng.standard_normal(hid)),
@@ -181,13 +176,13 @@ class TestWindowMlp:
     def test_zero_second_layers_zero_branches(self):
         rng = np.random.default_rng(60)
         p = self.mlp_params(rng, 4, 2, 2, rho=2)
-        p.w2_h = t64(np.zeros_like(p.w2_h.numpy()))
-        p.b2_h = t64(np.zeros_like(p.b2_h.numpy()))
-        p.w2_w = t64(np.zeros_like(p.w2_w.numpy()))
-        p.b2_w = t64(np.zeros_like(p.b2_w.numpy()))
-        p.w_p = t64(np.eye(4))
-        p.b_p = t64(np.zeros(4))
-        out = A.axial_forward(t64(rng.standard_normal((2, 4, 4))), p)
+        p["w2_h"] = t64(np.zeros_like(p["w2_h"].numpy()))
+        p["b2_h"] = t64(np.zeros_like(p["b2_h"].numpy()))
+        p["w2_w"] = t64(np.zeros_like(p["w2_w"].numpy()))
+        p["b2_w"] = t64(np.zeros_like(p["b2_w"].numpy()))
+        p["w_p"] = t64(np.eye(4))
+        p["b_p"] = t64(np.zeros(4))
+        out = A.axial_forward(t64(rng.standard_normal((2, 4, 4))), "MLP", p)
         np.testing.assert_array_equal(out.numpy(), 0.0)
 
     def test_identity_layers_reduce_to_gelu(self):
@@ -195,15 +190,14 @@ class TestWindowMlp:
         rng = np.random.default_rng(61)
         c, ws, gs = 3, 2, 3
         k = gs * ws
-        p = A.AggParams(
-            "MLP", ws=ws, gs=gs, rho=1,
+        p = dict(
             w1_h=t64(np.eye(k)), b1_h=t64(np.zeros(k)),
             w2_h=t64(np.eye(k)), b2_h=t64(np.zeros(k)),
             w1_w=t64(np.eye(k)), b1_w=t64(np.zeros(k)),
             w2_w=t64(np.eye(k)), b2_w=t64(np.zeros(k)),
             w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)))
         x = rng.standard_normal((2, c, ws * ws))
-        out = A.axial_forward(t64(x), p)
+        out = A.axial_forward(t64(x), "MLP", p)
         np.testing.assert_allclose(out.numpy(), gelu_ref(x), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -212,12 +206,12 @@ class TestWindowMlp:
         c, ws, gs, rho = 4, 2, 2, 2
         p = self.mlp_params(rng, c, ws, gs, rho)
         x = rng.standard_normal((2, c, ws * ws))
-        got = A.axial_forward(t64(x), p).numpy()
+        got = A.axial_forward(t64(x), "MLP", p).numpy()
         want = linmapper_loops(
-            x, p.w1_h.numpy(), p.b1_h.numpy(), p.w1_w.numpy(), p.b1_w.numpy(),
-            p.w_p.numpy(), p.b_p.numpy(), gs, ws,
+            x, p["w1_h"].numpy(), p["b1_h"].numpy(), p["w1_w"].numpy(), p["b1_w"].numpy(),
+            p["w_p"].numpy(), p["b_p"].numpy(), gs, ws,
             activation=gelu_ref,
-            second=((p.w2_h.numpy(), p.b2_h.numpy()), (p.w2_w.numpy(), p.b2_w.numpy())))
+            second=((p["w2_h"].numpy(), p["b2_h"].numpy()), (p["w2_w"].numpy(), p["b2_w"].numpy())))
         assert np.abs(got - want).max() <= 1e-5
 
 
@@ -225,62 +219,63 @@ class TestWindowMhsa:
     def test_zero_value_projection_broadcasts_output_bias(self):
         rng = np.random.default_rng(80)
         c, ws, heads = 4, 2, 2
-        p = A.init_aggregator("MHSA", c, ws, heads=heads, seed=0, dtype=np.float64)
-        p.w_v = t64(np.zeros((c, c)))
-        p.b_v = t64(np.zeros(c))
-        p.b_o = t64(rng.standard_normal(c))
+        p = agg_params("MHSA", c, ws, heads=heads, seed=0, dtype=np.float64)
+        p["w_v"] = t64(np.zeros((c, c)))
+        p["b_v"] = t64(np.zeros(c))
+        p["b_o"] = t64(rng.standard_normal(c))
         x = t64(rng.standard_normal((3, ws * ws, c)))
         out = A.window_mhsa_forward(x, p).numpy()
-        np.testing.assert_allclose(out, np.broadcast_to(p.b_o.numpy(), out.shape),
+        np.testing.assert_allclose(out, np.broadcast_to(p["b_o"].numpy(), out.shape),
                                    atol=1e-12)
 
     def test_single_token_window(self):
         rng = np.random.default_rng(81)
         c = 4
-        p = A.init_aggregator("MHSA", c, 1, heads=2, seed=1, dtype=np.float64)
+        p = agg_params("MHSA", c, 1, heads=2, seed=1, dtype=np.float64)
         for name in ("w_q", "w_k", "w_v", "w_o"):
-            setattr(p, name, t64(rng.standard_normal((c, c))))
+            p[name] = t64(rng.standard_normal((c, c)))
         for name in ("b_q", "b_k", "b_v", "b_o"):
-            setattr(p, name, t64(rng.standard_normal(c)))
+            p[name] = t64(rng.standard_normal(c))
         x = rng.standard_normal((2, 1, c))
         out = A.window_mhsa_forward(t64(x), p).numpy()
-        want = (x @ p.w_v.numpy().T + p.b_v.numpy()) @ p.w_o.numpy().T + p.b_o.numpy()
+        want = (x @ p["w_v"].numpy().T + p["b_v"].numpy()) @ p["w_o"].numpy().T + p["b_o"].numpy()
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_direct_loop_evaluation(self, seed):
         rng = np.random.default_rng(90 + seed)
         c, ws = 6, 2
-        p = A.init_aggregator("MHSA", c, ws, heads=1, seed=seed, dtype=np.float64)
-        p.rel_bias = t64(rng.standard_normal(p.rel_bias.shape))
+        # heads 1, 2, 3 reach the forward only through the shape of rel_bias
+        p = agg_params("MHSA", c, ws, heads=1 + seed, seed=seed, dtype=np.float64)
+        p["rel_bias"] = t64(rng.standard_normal(p["rel_bias"].shape))
         x = rng.standard_normal((2, ws * ws, c))
         got = A.window_mhsa_forward(t64(x), p).numpy()
         assert np.abs(got - mhsa_loops(x, p)).max() <= 1e-5
 
     def test_head_divisibility(self):
-        p = A.init_aggregator("MHSA", 6, 2, heads=2, seed=0)
+        p = agg_params("MHSA", 6, 2, heads=2, seed=0)
         with pytest.raises(ShapeError):
-            A.init_aggregator("MHSA", 6, 2, heads=4, seed=0)
+            agg_params("MHSA", 6, 2, heads=4, seed=0)
         with pytest.raises(ShapeError):
             A.window_mhsa_forward(Tensor(np.zeros((1, 4, 8), dtype=np.float32)), p)
 
 
 class TestInit:
     def test_deterministic_per_seed(self):
-        a = A.init_aggregator("Linear", 8, 2, gs=2, seed=7)
-        b = A.init_aggregator("Linear", 8, 2, gs=2, seed=7)
-        for (na, ta), (nb, tb) in zip(a.tensors(), b.tensors()):
+        a = agg_params("Linear", 8, 2, gs=2, seed=7)
+        b = agg_params("Linear", 8, 2, gs=2, seed=7)
+        for (na, ta), (nb, tb) in zip(a.items(), b.items()):
             assert na == nb
             np.testing.assert_array_equal(ta.numpy(), tb.numpy())
 
     def test_different_seed_differs(self):
-        a = A.init_aggregator("Linear", 8, 2, gs=2, seed=7)
-        b = A.init_aggregator("Linear", 8, 2, gs=2, seed=8)
-        assert np.abs(a.w_h.numpy() - b.w_h.numpy()).max() > 0
+        a = agg_params("Linear", 8, 2, gs=2, seed=7)
+        b = agg_params("Linear", 8, 2, gs=2, seed=8)
+        assert np.abs(a["w_h"].numpy() - b["w_h"].numpy()).max() > 0
 
     def test_trunc_normal_bounded(self):
-        p = A.init_aggregator("MLP", 16, 4, gs=4, rho=4, seed=3)
-        for _, t in p.tensors():
+        p = agg_params("MLP", 16, 4, gs=4, rho=4, seed=3)
+        for t in p.values():
             assert np.abs(t.numpy()).max() <= 2 * 0.02 + 1e-9
 
     @pytest.mark.parametrize("kind,count_fn", [
@@ -295,20 +290,20 @@ class TestInit:
     ])
     def test_parameter_count_closed_form(self, kind, count_fn):
         c, ws, gs, heads, rho = 8, 2, 2, 2, 4
-        p = A.init_aggregator(kind, c, ws, gs=gs, heads=heads, rho=rho, seed=0)
-        total = sum(t.size for _, t in p.tensors())
+        p = agg_params(kind, c, ws, gs=gs, heads=heads, rho=rho, seed=0)
+        total = sum(t.size for t in p.values())
         assert total == count_fn(c, ws, gs, heads, rho)
 
     def test_linmapper_96_7_3_example(self):
-        p = A.init_aggregator("Linear", 96, 7, gs=3, seed=0)
-        assert sum(t.size for _, t in p.tensors()) == 10236
+        p = agg_params("Linear", 96, 7, gs=3, seed=0)
+        assert sum(t.size for t in p.values()) == 10236
 
     def test_shared_vs_dw_parameter_delta(self):
         c, ws, gs = 12, 2, 3
-        shared = A.init_aggregator("Linear", c, ws, gs=gs, seed=0)
-        dw = A.init_aggregator("DWLinear", c, ws, gs=gs, seed=0)
-        n_shared = sum(t.size for _, t in shared.tensors())
-        n_dw = sum(t.size for _, t in dw.tensors())
+        shared = agg_params("Linear", c, ws, gs=gs, seed=0)
+        dw = agg_params("DWLinear", c, ws, gs=gs, seed=0)
+        n_shared = sum(t.size for t in shared.values())
+        n_dw = sum(t.size for t in dw.values())
         assert n_dw - n_shared == (c // gs - 1) * 2 * ((gs * ws) ** 2 + gs * ws)
 
 
@@ -317,7 +312,7 @@ class TestWindowEquivariance:
     def test_permuting_windows_permutes_outputs(self, kind):
         rng = np.random.default_rng(99)
         c, ws = 8, 2
-        p = A.init_aggregator(kind, c, ws, gs=2, heads=2, seed=5, dtype=np.float64)
+        p = agg_params(kind, c, ws, gs=2, heads=2, seed=5, dtype=np.float64)
         x = rng.standard_normal((6, ws * ws, c))
         perm = rng.permutation(6)
         out = A.aggregate(kind, t64(x), p).numpy()
@@ -331,12 +326,9 @@ class TestAggregatorGradients:
     def test_analytic_vs_central_difference(self, kind, seed):
         rng = np.random.default_rng(1000 + seed)
         c, ws = 4, 2
-        p = A.init_aggregator(kind, c, ws, gs=2, heads=2, rho=2, seed=seed,
-                              dtype=np.float64)
         # non-trivial parameter values so interactions are exercised
-        for name, t in p.tensors():
-            setattr(p, name, Tensor(rng.standard_normal(t.shape) * 0.5,
-                                    requires_grad=True))
+        p = {name: Tensor(rng.standard_normal(shape) * 0.5, requires_grad=True)
+             for name, shape in A.param_shapes(kind, c, ws, gs=2, heads=2, rho=2).items()}
         x = Tensor(rng.standard_normal((2, ws * ws, c)), requires_grad=True)
         probe = Tensor(rng.standard_normal((2, ws * ws, c)))
 
@@ -351,17 +343,59 @@ class TestAggregatorGradients:
 
 class TestAggregateEntry:
     def test_kind_must_match_params(self):
-        p = A.init_aggregator("Linear", 4, 2, gs=2, seed=0)
+        p = agg_params("Linear", 4, 2, gs=2, seed=0)
         with pytest.raises(ValueError, match="MLP"):
             A.aggregate("MLP", Tensor(np.zeros((1, 4, 4), dtype=np.float32)), p)
 
     def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="Conv"):
+            A.aggregate("Conv", Tensor(np.zeros((1, 4, 4), dtype=np.float32)), {})
         with pytest.raises(ValueError):
-            A.AggParams("Conv", ws=2)
-        with pytest.raises(ValueError):
-            A.init_aggregator("Conv", 4, 2)
+            A.param_shapes("Conv", 4, 2)
 
     def test_axial_forward_rejects_attention_params(self):
-        p = A.init_aggregator("MHSA", 4, 2, heads=2, seed=0)
+        p = agg_params("MHSA", 4, 2, heads=2, seed=0)
         with pytest.raises(ValueError):
-            A.axial_forward(Tensor(np.zeros((1, 4, 4), dtype=np.float32)), p)
+            A.axial_forward(Tensor(np.zeros((1, 4, 4), dtype=np.float32)), "MHSA", p)
+
+    @pytest.mark.parametrize("kind", A.AGGREGATOR_KINDS)
+    def test_missing_or_extra_name_rejected(self, kind):
+        p = agg_params(kind, 4, 2, gs=2, heads=2)
+        x = Tensor(np.zeros((1, 4, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="b_p|b_o"):
+            A.aggregate(kind, x, {n: t for n, t in p.items() if n not in ("b_p", "b_o")})
+        with pytest.raises(ValueError, match="extra"):
+            A.aggregate(kind, x, p | {"extra": p["rel_bias" if kind == "MHSA" else "w_p"]})
+
+
+class TestInferredSizes:
+    # ws, gs and heads are read from the shapes of the windows and weights;
+    # a shape that fits none of them ends in ShapeError, not a numpy error
+
+    @pytest.mark.parametrize("kind", A.AGGREGATOR_KINDS)
+    def test_token_axis_not_square(self, kind):
+        p = agg_params(kind, 4, 2, gs=2, heads=2)
+        with pytest.raises(ShapeError, match="not a square window"):
+            A.aggregate(kind, Tensor(np.zeros((1, 5, 4), dtype=np.float32)), p)
+
+    @pytest.mark.parametrize("kind", ["Linear", "DWLinear", "MLP"])
+    def test_weight_width_not_a_multiple_of_ws(self, kind):
+        p = agg_params(kind, 4, 3, gs=1)  # width 3 against ws 2
+        with pytest.raises(ShapeError, match="multiple of ws"):
+            A.aggregate(kind, Tensor(np.zeros((1, 4, 4), dtype=np.float32)), p)
+
+    @pytest.mark.parametrize("kind", ["Linear", "DWLinear", "MLP"])
+    def test_channels_not_divisible_by_group_size(self, kind):
+        p = agg_params(kind, 4, 2, gs=2)  # gs 2 against 3 channels
+        with pytest.raises(ShapeError, match="group size 2"):
+            A.aggregate(kind, Tensor(np.zeros((1, 4, 3), dtype=np.float32)), p)
+
+    def test_channels_not_divisible_by_heads(self):
+        p = agg_params("MHSA", 4, 2, heads=2)  # 2 heads against 3 channels
+        with pytest.raises(ShapeError, match="heads 2"):
+            A.aggregate("MHSA", Tensor(np.zeros((1, 4, 3), dtype=np.float32)), p)
+
+    def test_rel_bias_for_another_window_side(self):
+        p = agg_params("MHSA", 4, 3, heads=2)  # a ws 3 table against ws 2 windows
+        with pytest.raises(ShapeError, match="window side 2"):
+            A.aggregate("MHSA", Tensor(np.zeros((1, 4, 4), dtype=np.float32)), p)

@@ -184,17 +184,16 @@ class TestFlopsOracle:
             raise AssertionError("flops_oracle drew a weight")
 
         monkeypatch.setattr("winmix.aggregators.trunc_normal", no_draws)
-        monkeypatch.setattr("winmix.model.trunc_normal", no_draws)
         cfg = dataclasses.replace(DESK, aggregator=agg, comm="MSG")
         assert flops_oracle(cfg, 32) == count_flops(cfg, 32).total_flops
 
     def test_single_axial_layer_hand_count(self):
         # one window, ws=2, gs=1, C=2: axial 2*(C/gs)*ws*(gs*ws)^2, proj C^2*ws^2
-        from winmix.aggregators import axial_forward, init_aggregator
-        p = init_aggregator("Linear", 2, 2, gs=1, seed=0)
+        from winmix.aggregators import axial_forward, param_shapes
+        p = {n: Tensor(np.zeros(s, np.float32)) for n, s in param_shapes("Linear", 2, 2).items()}
         x = Tensor(np.random.default_rng(0).standard_normal((1, 2, 4)).astype(np.float32))
         with T.count_macs() as macs:
-            axial_forward(x, p)
+            axial_forward(x, "Linear", p)
         # 2 * (gs*ws)^2 * ws * (C/gs) axial + C^2 * ws^2 projection
         assert macs[0] == 2 * 4 * 2 * 2 + 4 * 4 == 48
 

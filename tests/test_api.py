@@ -5,6 +5,7 @@ wraps exists."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -42,3 +43,10 @@ def test_perfbench_wrapped_functions_exist():
     missing = [f"{mod}.{attr}" for mod, attr, _ in spans.WRAPPED
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, f"perfbench/spans.py wraps missing functions: {missing}"
+
+
+def test_aggregate_takes_kind_first():
+    # perfbench/spans.py names the aggregate span from the first positional argument
+    from winmix.aggregators import aggregate
+
+    assert next(iter(inspect.signature(aggregate).parameters)) == "kind"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -125,6 +126,33 @@ class TestGeneration:
         assert spec.height is None
         assert gen_dataset(dataclasses.replace(spec, n_train=4, n_val=4)
                            ).train_images.shape == (4, 32, 32, 3)
+
+
+    # sha256 over the train/val images and labels of each spec; a change to
+    # the generators' formulas or RNG draw order changes the digest
+    FROZEN_DATASET_DIGESTS = [
+        (dict(mode="textures", seed=0, n_train=64, n_val=32, classes=4, size=32),
+         "6c57711c57eb2030d966f02c0ae46793bba4c15711658dd5560c2e52bb49cb6e"),
+        (dict(mode="textures", seed=3, n_train=48, n_val=24, classes=8, size=24, noise=0.3),
+         "c494c64eaa6a7a18a157950dde6fe849aedf84aebfb1727518330042d38e9ced"),
+        (dict(mode="quadrant-parity", seed=0, n_train=64, n_val=32, classes=2, size=32),
+         "31b8e6f779c0216450bb9c064a69bb99e06fc050e78d87936a366e95efa1d338"),
+        (dict(mode="quadrant-parity", seed=3, n_train=32, n_val=16, classes=2, size=16),
+         "fbadb31aaed2b3c3696dbb1829282f4435dc736996d7cbb75079fff92ba17ca7"),
+        (dict(mode="seam-phase", seed=0, n_train=32, n_val=16, classes=2, size=128, height=8),
+         "428f08d9caf8d47b28ded79474a209e699a14e4bca1adb35844120804d7ae927"),
+        (dict(mode="seam-phase", seed=3, n_train=32, n_val=16, classes=2, size=32),
+         "0c7ecbeca3acd72fc7e444494d2ac36022ad6bf76d5b1561da273e2ed1babe83"),
+    ]
+
+    @pytest.mark.parametrize("kw, digest", FROZEN_DATASET_DIGESTS,
+                             ids=[f"{kw['mode']}-{kw['seed']}" for kw, _ in FROZEN_DATASET_DIGESTS])
+    def test_dataset_digest_frozen(self, kw, digest):
+        ds = gen_dataset(DatasetSpec(**kw))
+        h = hashlib.sha256()
+        for a in (ds.train_images, ds.train_labels, ds.val_images, ds.val_labels):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestWdat:

@@ -260,7 +260,7 @@ class TestBlocksAndForward:
         win = G.window_partition(shifted, 2)
         normed = T.layer_norm(win, m.params["stage0.block1.norm1.g"],
                               m.params["stage0.block1.norm1.b"])
-        win = win + A.aggregate("Linear", normed, M._agg_params(m, "stage0.block1", 0))
+        win = win + A.aggregate("Linear", normed, M._agg_params(m, "stage0.block1"))
         back = G.cyclic_shift(G.window_reverse(win, 4, 4), 1, 1).values
         normed = T.layer_norm(back, m.params["stage0.block1.norm2.g"],
                               m.params["stage0.block1.norm2.b"])
