@@ -31,11 +31,11 @@ for i, mat in enumerate(rep.layers[:4]):
     for r in rows[::2]:
         print("   " + "".join("X" if v else "." for v in r[::2]))
 
-# PGM bitmaps for visual inspection (one file per block)
+# PGM bitmaps for visual inspection (one file per block), overwritten each run
 import pathlib
-import tempfile
 
-out = pathlib.Path(tempfile.mkdtemp(prefix="connectivity_pgms_"))
+out = pathlib.Path("connectivity_pgms")
+out.mkdir(exist_ok=True)
 for i, (label, mat) in enumerate(zip(rep.labels, rep.layers)):
     write_pgm(out / f"{i:02d}_{label}.pgm", mat)
 print(f"\nwrote {len(rep.layers)} bitmaps to {out}/")

@@ -37,9 +37,8 @@ from .geometry import (
 )
 from .aggregators import (
     param_shapes,
-    axial_forward,
-    window_mhsa_forward,
     init_param,
+    aggregate,
 )
 from .model import (
     ModelConfig,

@@ -22,8 +22,8 @@ are written; the model's table, init draws and checkpoint records follow it.
 A layer's parameters are a plain dict keyed by those names, and its sizes
 are read from shapes: ws from the token count, gs from the axial weight
 width, heads from ``rel_bias``. ``init_param`` is the model's one init rule.
-Axial inputs are (B, C, ws*ws) with tokens flattened row-major; attention
-inputs, and ``aggregate``'s windows, are token-major (B, ws*ws, C).
+``aggregate`` is the one entry point; every kind takes and returns
+token-major windows (B, ws*ws, C), tokens flattened row-major.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .tensor import ShapeError, Tensor
 
 __all__ = [
     "param_shapes",
-    "axial_forward",
-    "window_mhsa_forward",
     "init_param",
     "aggregate",
     "AGGREGATOR_KINDS",
@@ -91,42 +89,20 @@ def _window_side(n: int) -> int:
     return ws
 
 
-def _axial_join(x: Tensor) -> Tensor:
-    b, g, gs, h, w = x.shape
-    return T.reshape(x, (b, g * gs, h * w))
+# per-axis (into, back) transposes of the (B, G, gs, ws, ws) windows: the
+# height branch maps one (gs*ws)-vector per width column, the width branch
+# one per height row
+_AXIS_PERMS = {"h": ((0, 1, 4, 2, 3), (0, 1, 3, 4, 2)),
+               "w": ((0, 1, 3, 2, 4), (0, 1, 3, 2, 4))}
 
 
-def _height_vectors(x5: Tensor) -> Tensor:
-    """(B, G, gs, h, w) -> (B, G, w, gs*h): one vector per width column."""
-    b, g, gs, h, w = x5.shape
-    v = T.transpose(x5, (0, 1, 4, 2, 3))
-    return T.reshape(v, (b, g, w, gs * h))
-
-
-def _height_restore(v: Tensor, gs: int, ws: int) -> Tensor:
-    b, g, w, _ = v.shape
-    v = T.reshape(v, (b, g, w, gs, ws))
-    return T.transpose(v, (0, 1, 3, 4, 2))
-
-
-def _width_vectors(x5: Tensor) -> Tensor:
-    """(B, G, gs, h, w) -> (B, G, h, gs*w): one vector per height row."""
-    b, g, gs, h, w = x5.shape
-    v = T.transpose(x5, (0, 1, 3, 2, 4))
-    return T.reshape(v, (b, g, h, gs * w))
-
-
-def _width_restore(v: Tensor, gs: int, ws: int) -> Tensor:
-    b, g, h, _ = v.shape
-    v = T.reshape(v, (b, g, h, gs, ws))
-    return T.transpose(v, (0, 1, 3, 2, 4))
-
-
-def _pointwise(x: Tensor, w_p: Tensor, b_p: Tensor) -> Tensor:
-    """(B, C, N) per-token channel projection."""
-    y = T.transpose(x, (0, 2, 1))
-    y = T.linear(y, w_p, b_p)
-    return T.transpose(y, (0, 2, 1))
+def _branch(kind: str, p: dict[str, Tensor], axis: str, x5: Tensor) -> Tensor:
+    """The kind's map along one axis of (B, G, gs, ws, ws) windows, in that layout."""
+    b, g, gs, ws, _ = x5.shape
+    into, back = _AXIS_PERMS[axis]
+    v = T.reshape(T.transpose(x5, into), (b, g, ws, gs * ws))
+    v = T.reshape(_axial_map(kind, p, axis, v), (b, g, ws, gs, ws))
+    return T.transpose(v, back)
 
 
 def _grouped_linear(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -148,32 +124,32 @@ def _axial_map(kind: str, p: dict[str, Tensor], axis: str, v: Tensor) -> Tensor:
     return affine(v, p[f"w_{axis}"], p[f"b_{axis}"])
 
 
-def axial_forward(x: Tensor, kind: str, p: dict[str, Tensor],
-                  layout_faithful: bool = False) -> Tensor:
-    """Grouped axial mixing of one batch of windows (Linear, DWLinear, MLP).
+def _axial_forward(x: Tensor, kind: str, p: dict[str, Tensor],
+                   layout_faithful: bool) -> Tensor:
+    """Grouped axial mixing of token-major windows (Linear, DWLinear, MLP).
 
-    ``x`` is (B, C, ws*ws). The default reading maps (group-channels x
-    heights) per width column and (group-channels x widths) per height row.
-    With ``layout_faithful`` the width branch instead maps raw row-major
-    (gs*ws)-chunks of the flattened window, which interleaves channel and
+    The default reading maps (group-channels x heights) per width column and
+    (group-channels x widths) per height row. With ``layout_faithful`` the
+    width branch instead maps raw row-major (gs*ws)-chunks of each group's
+    flattened (channels x tokens) window, which interleaves channel and
     height indices. gs is the axial weight width over ws.
     """
-    if kind not in ("Linear", "DWLinear", "MLP"):
-        raise ValueError(f"{kind!r} is not an axial aggregator")
-    b, c, n = x.shape
+    b, n, c = x.shape
     ws = _window_side(n)
     k = p["w1_h" if kind == "MLP" else "w_h"].shape[-1]
     if k % ws:
         raise ShapeError(f"axial weight width {k} is not a multiple of ws {ws}")
     gs = k // ws
-    x5 = T.reshape(x, (b, _check_groups(c, gs), gs, ws, ws))
-    hf = _axial_join(_height_restore(_axial_map(kind, p, "h", _height_vectors(x5)), gs, ws))
+    xc = T.transpose(x, (0, 2, 1))
+    x5 = T.reshape(xc, (b, _check_groups(c, gs), gs, ws, ws))
+    hf = _branch(kind, p, "h", x5)
     if layout_faithful:
-        wv = T.reshape(x, (b, c // gs, ws, gs * ws))
-        wf = T.reshape(_axial_map(kind, p, "w", wv), (b, c, n))
+        wv = T.reshape(xc, (b, c // gs, ws, gs * ws))
+        wf = T.reshape(_axial_map(kind, p, "w", wv), x5.shape)
     else:
-        wf = _axial_join(_width_restore(_axial_map(kind, p, "w", _width_vectors(x5)), gs, ws))
-    return _pointwise(hf + wf, p["w_p"], p["b_p"])
+        wf = _branch(kind, p, "w", x5)
+    y = T.reshape(hf + wf, (b, c, n))
+    return T.linear(T.transpose(y, (0, 2, 1)), p["w_p"], p["b_p"])
 
 
 def relative_position_index(ws: int) -> np.ndarray:
@@ -184,7 +160,7 @@ def relative_position_index(ws: int) -> np.ndarray:
     return rel[0] * (2 * ws - 1) + rel[1]
 
 
-def window_mhsa_forward(x: Tensor, p: dict[str, Tensor]) -> Tensor:
+def _window_mhsa_forward(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Scaled dot-product attention inside each window.
 
     ``x`` is token-major (B, ws*ws, C); the learned relative position bias is
@@ -252,6 +228,5 @@ def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor],
         raise ValueError(f"aggregator {kind!r} takes parameters {sorted(names)}, "
                          f"got {sorted(params)}")
     if kind == "MHSA":
-        return window_mhsa_forward(windows, params)
-    x = T.transpose(windows, (0, 2, 1))
-    return T.transpose(axial_forward(x, kind, params, layout_faithful), (0, 2, 1))
+        return _window_mhsa_forward(windows, params)
+    return _axial_forward(windows, kind, params, layout_faithful)

@@ -40,7 +40,6 @@ from .model import (
     stage_has_comm,
     stage_heads,
     table_shapes,
-    validate_config,
 )
 from .tensor import Tensor
 
@@ -148,7 +147,6 @@ def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
     image to a multiple of 4, blocks pad to the window size for ``.agg`` and
     ``.msg`` and crop before ``.ffn``, and patch merging pads to even extents.
     """
-    validate_config(cfg)
     ws = cfg.window
     h = _ceil_to(resolution[0], 4) // 4
     w = _ceil_to(resolution[1], 4) // 4
@@ -282,7 +280,6 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     into one token; only a forward-pass perturbation (change one region's
     pixels, compare the other region's features) settles such a question.
     """
-    validate_config(cfg)
     if grid_h < 1 or grid_w < 1:
         raise ValueError(f"grid must be positive, got {grid_h}x{grid_w}")
     ws = cfg.window

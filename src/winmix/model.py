@@ -61,6 +61,8 @@ class ModelConfig:
     aggregators (per stage, the largest divisor of the stage width that does
     not exceed it). ``heads_divisor`` sets attention heads to roughly
     C_stage / heads_divisor, adjusted down to a divisor of C_stage.
+    Construction (``from_dict`` and ``dataclasses.replace`` included)
+    checks every field and raises ConfigError on a bad one.
     """
 
     width: int
@@ -79,7 +81,25 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        validate_config(self)
+        if self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
+        if len(self.depths) != 4 or any(d < 1 for d in self.depths):
+            raise ConfigError(f"depths must be 4 counts >= 1, got {self.depths}")
+        if self.window < 1:
+            raise ConfigError(f"window must be >= 1, got {self.window}")
+        if self.aggregator not in agg.AGGREGATOR_KINDS:
+            raise ConfigError(
+                f"aggregator {self.aggregator!r} not in {agg.AGGREGATOR_KINDS}")
+        if self.comm not in COMM_KINDS:
+            raise ConfigError(f"comm {self.comm!r} not in {COMM_KINDS}")
+        if self.ffn_ratio < 1 or self.mlp_ratio < 1:
+            raise ConfigError("ffn_ratio and mlp_ratio must be >= 1")
+        if self.classes < 2:
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
+        if self.groups < 1 or self.heads_divisor < 1:
+            raise ConfigError("groups and heads_divisor must be >= 1")
+        if self.messenger_count < 1 or self.messenger_region < 1:
+            raise ConfigError("messenger fields must be >= 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -89,28 +109,6 @@ class ModelConfig:
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         return dataclass_from_dict(ModelConfig, d, "config", ConfigError)
-
-
-def validate_config(cfg: ModelConfig) -> None:
-    if cfg.width < 1:
-        raise ConfigError(f"width must be >= 1, got {cfg.width}")
-    if len(cfg.depths) != 4 or any(d < 1 for d in cfg.depths):
-        raise ConfigError(f"depths must be 4 counts >= 1, got {cfg.depths}")
-    if cfg.window < 1:
-        raise ConfigError(f"window must be >= 1, got {cfg.window}")
-    if cfg.aggregator not in agg.AGGREGATOR_KINDS:
-        raise ConfigError(
-            f"aggregator {cfg.aggregator!r} not in {agg.AGGREGATOR_KINDS}")
-    if cfg.comm not in COMM_KINDS:
-        raise ConfigError(f"comm {cfg.comm!r} not in {COMM_KINDS}")
-    if cfg.ffn_ratio < 1 or cfg.mlp_ratio < 1:
-        raise ConfigError("ffn_ratio and mlp_ratio must be >= 1")
-    if cfg.classes < 2:
-        raise ConfigError(f"classes must be >= 2, got {cfg.classes}")
-    if cfg.groups < 1 or cfg.heads_divisor < 1:
-        raise ConfigError("groups and heads_divisor must be >= 1")
-    if cfg.messenger_count < 1 or cfg.messenger_region < 1:
-        raise ConfigError("messenger fields must be >= 1")
 
 
 def _largest_divisor_leq(n: int, cap: int) -> int:
@@ -194,8 +192,6 @@ def table_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     order, checkpoints record in it, ``load_model`` checks files against it
     and ``flops_oracle`` runs the forward pass on its zero table.
     """
-    validate_config(cfg)
-
     def norm(prefix, c):
         return {f"{prefix}.g": (c,), f"{prefix}.b": (c,)}
 

@@ -328,10 +328,8 @@ def roll(a: Tensor, shifts: tuple[int, ...], axes: tuple[int, ...]) -> Tensor:
     return _make(np.roll(a.data, shifts, axis=axes), (a,), back, "roll")
 
 
-def index_select(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
-    """Gather rows ``a[indices]`` along ``axis`` (integer index array)."""
-    if axis != 0:
-        raise ShapeError("index_select supports axis=0 only")
+def index_select(a: Tensor, indices: np.ndarray) -> Tensor:
+    """Gather rows ``a[indices]`` along the first axis (integer index array)."""
     indices = np.asarray(indices)
     shape = a.shape
 

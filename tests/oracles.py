@@ -46,7 +46,7 @@ def linmapper_loops(x, w_h, b_h, w_w, b_w, w_p, b_p, gs, ws, layout_faithful=Fal
     Per-group weights are supported by passing 3-D w_h/w_w (one matrix per
     group).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)  # the chunk writes below need views
     bsz, c, n = x.shape
     g = c // gs
     hf = np.zeros_like(x)

@@ -15,7 +15,7 @@ import pytest
 import winmix as wm
 from winmix import model as M
 from winmix import tensor as T
-from winmix.aggregators import AGGREGATOR_KINDS, aggregate, axial_forward, param_shapes
+from winmix.aggregators import AGGREGATOR_KINDS, aggregate, param_shapes
 from winmix.analytics import connectivity, count_flops, count_params, flops_oracle
 from winmix.data import DatasetSpec, gen_dataset
 from winmix.geometry import (
@@ -303,14 +303,14 @@ def test_criterion_5_axial_cross_jacobian_ws7():
     ws, gs, c = 7, 3, 6
     p = {name: Tensor(rng.standard_normal(shape), dtype=np.float64)
          for name, shape in param_shapes("Linear", c, ws, gs=gs).items()}
-    x = rng.standard_normal((1, c, ws * ws))
-    base = axial_forward(Tensor(x, dtype=np.float64), "Linear", p).numpy()
+    x = rng.standard_normal((1, ws * ws, c))
+    base = aggregate("Linear", Tensor(x, dtype=np.float64), p).numpy()
     ok = True
     for (h, w) in [(0, 0), (2, 6), (3, 3), (6, 1)]:
         probe = x.copy()
-        probe[0, :, h * ws + w] += 1.0
-        delta = np.abs(axial_forward(Tensor(probe, dtype=np.float64), "Linear", p).numpy()
-                       - base).sum(axis=1).reshape(ws, ws)
+        probe[0, h * ws + w] += 1.0
+        delta = np.abs(aggregate("Linear", Tensor(probe, dtype=np.float64), p).numpy()
+                       - base).sum(axis=2).reshape(ws, ws)
         cross = np.zeros((ws, ws), dtype=bool)
         cross[h, :] = True
         cross[:, w] = True

@@ -7,6 +7,9 @@ from winmix.tensor import ShapeError, Tensor
 
 from oracles import agg_params, gelu_ref, linmapper_loops, mhsa_loops
 
+# every window here is token-major (B, ws*ws, C), as ``aggregate`` takes it;
+# the scalar-loop oracles stay channel-major, so calls into them transpose
+
 
 def t64(arr):
     return Tensor(np.asarray(arr, dtype=np.float64))
@@ -23,13 +26,34 @@ def linear_params(rng, c, ws, gs, w_h=None, w_w=None, w_p=None, zeros_bias=True)
         w_p=t64(pick(w_p, (c, c))), b_p=t64(np.zeros(c)))
 
 
+def axial_loop_oracle(kind, x, p, gs, ws, layout_faithful):
+    """``linmapper_loops`` on token-major windows ``x`` for an axial kind."""
+    n = {name: t.numpy() for name, t in p.items()}
+    layer = "1" if kind == "MLP" else ""
+    maps = [n[f"{wb}{layer}_{axis}"] for axis in "hw" for wb in "wb"]
+    extra = {}
+    if kind == "MLP":
+        extra = dict(activation=gelu_ref,
+                     second=((n["w2_h"], n["b2_h"]), (n["w2_w"], n["b2_w"])))
+    out = linmapper_loops(x.transpose(0, 2, 1), *maps, n["w_p"], n["b_p"], gs, ws,
+                          layout_faithful=layout_faithful, **extra)
+    return out.transpose(0, 2, 1)
+
+
+def assert_matches_loop_oracle(kind, p, rng, c, ws, gs, layout_faithful, atol):
+    x = rng.standard_normal((2, ws * ws, c))
+    got = A.aggregate(kind, t64(x), p, layout_faithful).numpy()
+    want = axial_loop_oracle(kind, x, p, gs, ws, layout_faithful)
+    assert np.abs(got - want).max() <= atol
+
+
 class TestLinMapper:
     def test_zero_weights_annihilate(self):
         rng = np.random.default_rng(0)
         p = linear_params(rng, 4, 2, 2, w_h=np.zeros((4, 4)), w_w=np.zeros((4, 4)),
                           w_p=np.eye(4))
         x = t64(rng.standard_normal((3, 4, 4)))
-        out = A.axial_forward(x, "Linear", p)
+        out = A.aggregate("Linear", x, p)
         np.testing.assert_array_equal(out.numpy(), 0.0)
 
     def test_identity_maps_with_half_projection(self):
@@ -37,17 +61,17 @@ class TestLinMapper:
         k = 6
         p = linear_params(rng, 3, 2, 3, w_h=np.eye(k), w_w=np.eye(k),
                           w_p=0.5 * np.eye(3))
-        x = t64(rng.standard_normal((2, 3, 4)))
-        out = A.axial_forward(x, "Linear", p)
+        x = t64(rng.standard_normal((2, 4, 3)))
+        out = A.aggregate("Linear", x, p)
         np.testing.assert_allclose(out.numpy(), x.numpy(), rtol=1e-12)
 
     def test_height_swap_window(self):
         # ws=2, gs=1, C=1: swapping the height axis flips the window rows
         p = linear_params(np.random.default_rng(2), 1, 2, 1,
                           w_h=[[0, 1], [1, 0]], w_w=np.zeros((2, 2)), w_p=[[1.0]])
-        x = t64(np.array([[[1.0, 2.0, 3.0, 4.0]]]))  # window [[1,2],[3,4]]
-        out = A.axial_forward(x, "Linear", p).numpy()
-        np.testing.assert_array_equal(out, [[[3.0, 4.0, 1.0, 2.0]]])
+        x = t64(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1))  # window [[1,2],[3,4]]
+        out = A.aggregate("Linear", x, p).numpy()
+        np.testing.assert_array_equal(out.reshape(-1), [3.0, 4.0, 1.0, 2.0])
 
     @pytest.mark.parametrize("layout", [False, True])
     @pytest.mark.parametrize("seed", range(3))
@@ -55,47 +79,42 @@ class TestLinMapper:
         rng = np.random.default_rng(10 + seed)
         c, ws, gs = 6, 3, 2
         p = linear_params(rng, c, ws, gs, zeros_bias=False)
-        x = rng.standard_normal((2, c, ws * ws))
-        got = A.axial_forward(t64(x), "Linear", p, layout_faithful=layout).numpy()
-        want = linmapper_loops(x, p["w_h"].numpy(), p["b_h"].numpy(), p["w_w"].numpy(),
-                               p["b_w"].numpy(), p["w_p"].numpy(), p["b_p"].numpy(),
-                               gs, ws, layout_faithful=layout)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        assert_matches_loop_oracle("Linear", p, rng, c, ws, gs, layout, atol=1e-10)
 
     def test_layout_mode_differs_from_symmetric_when_gs_gt_1(self):
         rng = np.random.default_rng(20)
         p = linear_params(rng, 4, 2, 2, zeros_bias=False)
         x = t64(rng.standard_normal((1, 4, 4)))
-        sym = A.axial_forward(x, "Linear", p, layout_faithful=False).numpy()
-        lit = A.axial_forward(x, "Linear", p, layout_faithful=True).numpy()
+        sym = A.aggregate("Linear", x, p, layout_faithful=False).numpy()
+        lit = A.aggregate("Linear", x, p, layout_faithful=True).numpy()
         assert np.abs(sym - lit).max() > 1e-6
 
     def test_layout_mode_equal_when_gs_1(self):
         # with one channel per group the row-major chunk is exactly a row
         rng = np.random.default_rng(21)
         p = linear_params(rng, 3, 2, 1, zeros_bias=False)
-        x = t64(rng.standard_normal((2, 3, 4)))
-        sym = A.axial_forward(x, "Linear", p, layout_faithful=False).numpy()
-        lit = A.axial_forward(x, "Linear", p, layout_faithful=True).numpy()
+        x = t64(rng.standard_normal((2, 4, 3)))
+        sym = A.aggregate("Linear", x, p, layout_faithful=False).numpy()
+        lit = A.aggregate("Linear", x, p, layout_faithful=True).numpy()
         np.testing.assert_allclose(sym, lit, rtol=1e-12)
 
     def test_group_divisibility_enforced(self):
         with pytest.raises(ShapeError):
-            A.axial_forward(t64(np.zeros((1, 5, 4))), "Linear",
-                            linear_params(np.random.default_rng(22), 4, 2, 2))
+            A.aggregate("Linear", t64(np.zeros((1, 4, 5))),
+                        linear_params(np.random.default_rng(22), 4, 2, 2))
 
     def test_axial_cross_jacobian_sparsity_ws7(self):
         # perturbing input token (h, w) moves only outputs in row h or col w
         rng = np.random.default_rng(23)
         ws, gs, c = 7, 2, 4
         p = linear_params(rng, c, ws, gs, zeros_bias=False)
-        x = rng.standard_normal((1, c, ws * ws))
-        base = A.axial_forward(t64(x), "Linear", p).numpy()
+        x = rng.standard_normal((1, ws * ws, c))
+        base = A.aggregate("Linear", t64(x), p).numpy()
         for (h, w) in [(0, 0), (3, 5), (6, 2)]:
             probe = x.copy()
-            probe[0, :, h * ws + w] += 1.0
-            moved = A.axial_forward(t64(probe), "Linear", p).numpy()
-            delta = np.abs(moved - base).sum(axis=1).reshape(ws, ws)
+            probe[0, h * ws + w] += 1.0
+            moved = A.aggregate("Linear", t64(probe), p).numpy()
+            delta = np.abs(moved - base).sum(axis=2).reshape(ws, ws)
             affected = delta > 1e-12
             cross = np.zeros((ws, ws), dtype=bool)
             cross[h, :] = True
@@ -122,9 +141,9 @@ class TestDWLinMapper:
             w_h=t64(np.stack([shared["w_h"].numpy()] * g)), b_h=t64(np.stack([shared["b_h"].numpy()] * g)),
             w_w=t64(np.stack([shared["w_w"].numpy()] * g)), b_w=t64(np.stack([shared["b_w"].numpy()] * g)),
             w_p=shared["w_p"], b_p=shared["b_p"])
-        x = t64(rng.standard_normal((2, c, ws * ws)))
-        np.testing.assert_array_equal(A.axial_forward(x, "DWLinear", dw).numpy(),
-                                      A.axial_forward(x, "Linear", shared).numpy())
+        x = t64(rng.standard_normal((2, ws * ws, c)))
+        np.testing.assert_array_equal(A.aggregate("DWLinear", x, dw).numpy(),
+                                      A.aggregate("Linear", x, shared).numpy())
 
     def test_group_selective_weights(self):
         # group 0 passes through (identity + half projection), group 1 zeroed
@@ -135,30 +154,27 @@ class TestDWLinMapper:
             w_w=t64(np.stack([np.eye(k), np.zeros((k, k))])), b_w=t64(np.zeros((2, k))),
             w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)))
         rng = np.random.default_rng(31)
-        x = rng.standard_normal((1, c, ws * ws))
-        out = A.axial_forward(t64(x), "DWLinear", dw).numpy()
-        np.testing.assert_allclose(out[0, 0], x[0, 0], rtol=1e-12)
-        np.testing.assert_array_equal(out[0, 1], 0.0)
+        x = rng.standard_normal((1, ws * ws, c))
+        out = A.aggregate("DWLinear", t64(x), dw).numpy()
+        np.testing.assert_allclose(out[0, :, 0], x[0, :, 0], rtol=1e-12)
+        np.testing.assert_array_equal(out[0, :, 1], 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_scalar_loop_oracle(self, seed):
         rng = np.random.default_rng(40 + seed)
         c, ws, gs = 4, 2, 2
         p = self.dw_params(rng, c, ws, gs)
-        x = rng.standard_normal((2, c, ws * ws))
-        got = A.axial_forward(t64(x), "DWLinear", p).numpy()
-        want = linmapper_loops(x, p["w_h"].numpy(), p["b_h"].numpy(), p["w_w"].numpy(),
-                               p["b_w"].numpy(), p["w_p"].numpy(), p["b_p"].numpy(), gs, ws)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        for layout in (False, True):
+            assert_matches_loop_oracle("DWLinear", p, rng, c, ws, gs, layout, atol=1e-10)
 
     def test_same_flops_as_shared(self):
         rng = np.random.default_rng(50)
         c, ws, gs = 8, 2, 2
-        x = t64(rng.standard_normal((3, c, ws * ws)))
+        x = t64(rng.standard_normal((3, ws * ws, c)))
         with T.count_macs() as shared_macs:
-            A.axial_forward(x, "Linear", linear_params(rng, c, ws, gs))
+            A.aggregate("Linear", x, linear_params(rng, c, ws, gs))
         with T.count_macs() as dw_macs:
-            A.axial_forward(x, "DWLinear", self.dw_params(rng, c, ws, gs))
+            A.aggregate("DWLinear", x, self.dw_params(rng, c, ws, gs))
         assert shared_macs[0] == dw_macs[0] > 0
 
 
@@ -182,7 +198,7 @@ class TestWindowMlp:
         p["b2_w"] = t64(np.zeros_like(p["b2_w"].numpy()))
         p["w_p"] = t64(np.eye(4))
         p["b_p"] = t64(np.zeros(4))
-        out = A.axial_forward(t64(rng.standard_normal((2, 4, 4))), "MLP", p)
+        out = A.aggregate("MLP", t64(rng.standard_normal((2, 4, 4))), p)
         np.testing.assert_array_equal(out.numpy(), 0.0)
 
     def test_identity_layers_reduce_to_gelu(self):
@@ -196,8 +212,8 @@ class TestWindowMlp:
             w1_w=t64(np.eye(k)), b1_w=t64(np.zeros(k)),
             w2_w=t64(np.eye(k)), b2_w=t64(np.zeros(k)),
             w_p=t64(0.5 * np.eye(c)), b_p=t64(np.zeros(c)))
-        x = rng.standard_normal((2, c, ws * ws))
-        out = A.axial_forward(t64(x), "MLP", p)
+        x = rng.standard_normal((2, ws * ws, c))
+        out = A.aggregate("MLP", t64(x), p)
         np.testing.assert_allclose(out.numpy(), gelu_ref(x), rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -205,14 +221,8 @@ class TestWindowMlp:
         rng = np.random.default_rng(70 + seed)
         c, ws, gs, rho = 4, 2, 2, 2
         p = self.mlp_params(rng, c, ws, gs, rho)
-        x = rng.standard_normal((2, c, ws * ws))
-        got = A.axial_forward(t64(x), "MLP", p).numpy()
-        want = linmapper_loops(
-            x, p["w1_h"].numpy(), p["b1_h"].numpy(), p["w1_w"].numpy(), p["b1_w"].numpy(),
-            p["w_p"].numpy(), p["b_p"].numpy(), gs, ws,
-            activation=gelu_ref,
-            second=((p["w2_h"].numpy(), p["b2_h"].numpy()), (p["w2_w"].numpy(), p["b2_w"].numpy())))
-        assert np.abs(got - want).max() <= 1e-5
+        for layout in (False, True):
+            assert_matches_loop_oracle("MLP", p, rng, c, ws, gs, layout, atol=1e-5)
 
 
 class TestWindowMhsa:
@@ -224,7 +234,7 @@ class TestWindowMhsa:
         p["b_v"] = t64(np.zeros(c))
         p["b_o"] = t64(rng.standard_normal(c))
         x = t64(rng.standard_normal((3, ws * ws, c)))
-        out = A.window_mhsa_forward(x, p).numpy()
+        out = A.aggregate("MHSA", x, p).numpy()
         np.testing.assert_allclose(out, np.broadcast_to(p["b_o"].numpy(), out.shape),
                                    atol=1e-12)
 
@@ -237,7 +247,7 @@ class TestWindowMhsa:
         for name in ("b_q", "b_k", "b_v", "b_o"):
             p[name] = t64(rng.standard_normal(c))
         x = rng.standard_normal((2, 1, c))
-        out = A.window_mhsa_forward(t64(x), p).numpy()
+        out = A.aggregate("MHSA", t64(x), p).numpy()
         want = (x @ p["w_v"].numpy().T + p["b_v"].numpy()) @ p["w_o"].numpy().T + p["b_o"].numpy()
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
@@ -249,7 +259,7 @@ class TestWindowMhsa:
         p = agg_params("MHSA", c, ws, heads=1 + seed, seed=seed, dtype=np.float64)
         p["rel_bias"] = t64(rng.standard_normal(p["rel_bias"].shape))
         x = rng.standard_normal((2, ws * ws, c))
-        got = A.window_mhsa_forward(t64(x), p).numpy()
+        got = A.aggregate("MHSA", t64(x), p).numpy()
         assert np.abs(got - mhsa_loops(x, p)).max() <= 1e-5
 
     def test_head_divisibility(self):
@@ -257,7 +267,7 @@ class TestWindowMhsa:
         with pytest.raises(ShapeError):
             agg_params("MHSA", 6, 2, heads=4, seed=0)
         with pytest.raises(ShapeError):
-            A.window_mhsa_forward(Tensor(np.zeros((1, 4, 8), dtype=np.float32)), p)
+            A.aggregate("MHSA", Tensor(np.zeros((1, 4, 8), dtype=np.float32)), p)
 
 
 class TestInit:
@@ -343,20 +353,17 @@ class TestAggregatorGradients:
 
 class TestAggregateEntry:
     def test_kind_must_match_params(self):
-        p = agg_params("Linear", 4, 2, gs=2, seed=0)
+        x = Tensor(np.zeros((1, 4, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="MLP"):
-            A.aggregate("MLP", Tensor(np.zeros((1, 4, 4), dtype=np.float32)), p)
+            A.aggregate("MLP", x, agg_params("Linear", 4, 2, gs=2, seed=0))
+        with pytest.raises(ValueError, match="Linear"):
+            A.aggregate("Linear", x, agg_params("MHSA", 4, 2, heads=2, seed=0))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="Conv"):
             A.aggregate("Conv", Tensor(np.zeros((1, 4, 4), dtype=np.float32)), {})
         with pytest.raises(ValueError):
             A.param_shapes("Conv", 4, 2)
-
-    def test_axial_forward_rejects_attention_params(self):
-        p = agg_params("MHSA", 4, 2, heads=2, seed=0)
-        with pytest.raises(ValueError):
-            A.axial_forward(Tensor(np.zeros((1, 4, 4), dtype=np.float32)), "MHSA", p)
 
     @pytest.mark.parametrize("kind", A.AGGREGATOR_KINDS)
     def test_missing_or_extra_name_rejected(self, kind):
