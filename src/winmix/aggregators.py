@@ -96,15 +96,6 @@ _AXIS_PERMS = {"h": ((0, 1, 4, 2, 3), (0, 1, 3, 4, 2)),
                "w": ((0, 1, 3, 2, 4), (0, 1, 3, 2, 4))}
 
 
-def _branch(kind: str, p: dict[str, Tensor], axis: str, x5: Tensor) -> Tensor:
-    """The kind's map along one axis of (B, G, gs, ws, ws) windows, in that layout."""
-    b, g, gs, ws, _ = x5.shape
-    into, back = _AXIS_PERMS[axis]
-    v = T.reshape(T.transpose(x5, into), (b, g, ws, gs * ws))
-    v = T.reshape(_axial_map(kind, p, axis, v), (b, g, ws, gs, ws))
-    return T.transpose(v, back)
-
-
 def _grouped_linear(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Apply per-group weights: v (B, G, rows, i) @ w[g] (o, i) + b[g]."""
     bsz, g, rows, i = v.shape
@@ -115,24 +106,27 @@ def _grouped_linear(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _axial_map(kind: str, p: dict[str, Tensor], axis: str, v: Tensor) -> Tensor:
-    """The kind's map on every (gs*ws)-vector of one axis (``h`` or ``w``)."""
+def _branch(kind: str, p: dict[str, Tensor], axis: str, x5: Tensor) -> Tensor:
+    """The kind's map along one axis of (B, G, gs, ws, ws) windows, in that layout."""
+    b, g, gs, ws, _ = x5.shape
+    into, back = _AXIS_PERMS[axis]
+    v = T.reshape(T.transpose(x5, into), (b, g, ws, gs * ws))
     if kind == "MLP":
         hidden = T.gelu(T.linear(v, p[f"w1_{axis}"], p[f"b1_{axis}"]))
-        return T.linear(hidden, p[f"w2_{axis}"], p[f"b2_{axis}"])
-    affine = _grouped_linear if kind == "DWLinear" else T.linear
-    return affine(v, p[f"w_{axis}"], p[f"b_{axis}"])
+        v = T.linear(hidden, p[f"w2_{axis}"], p[f"b2_{axis}"])
+    else:
+        affine = _grouped_linear if kind == "DWLinear" else T.linear
+        v = affine(v, p[f"w_{axis}"], p[f"b_{axis}"])
+    return T.transpose(T.reshape(v, (b, g, ws, gs, ws)), back)
 
 
-def _axial_forward(x: Tensor, kind: str, p: dict[str, Tensor],
-                   layout_faithful: bool) -> Tensor:
+def _axial_forward(x: Tensor, kind: str, p: dict[str, Tensor]) -> Tensor:
     """Grouped axial mixing of token-major windows (Linear, DWLinear, MLP).
 
-    The default reading maps (group-channels x heights) per width column and
-    (group-channels x widths) per height row. With ``layout_faithful`` the
-    width branch instead maps raw row-major (gs*ws)-chunks of each group's
-    flattened (channels x tokens) window, which interleaves channel and
-    height indices. gs is the axial weight width over ws.
+    The height branch maps (group-channels x heights) per width column, the
+    width branch (group-channels x widths) per height row, so an output token
+    depends exactly on the tokens of its window row and column. gs is the
+    axial weight width over ws.
     """
     b, n, c = x.shape
     ws = _window_side(n)
@@ -140,15 +134,8 @@ def _axial_forward(x: Tensor, kind: str, p: dict[str, Tensor],
     if k % ws:
         raise ShapeError(f"axial weight width {k} is not a multiple of ws {ws}")
     gs = k // ws
-    xc = T.transpose(x, (0, 2, 1))
-    x5 = T.reshape(xc, (b, _check_groups(c, gs), gs, ws, ws))
-    hf = _branch(kind, p, "h", x5)
-    if layout_faithful:
-        wv = T.reshape(xc, (b, c // gs, ws, gs * ws))
-        wf = T.reshape(_axial_map(kind, p, "w", wv), x5.shape)
-    else:
-        wf = _branch(kind, p, "w", x5)
-    y = T.reshape(hf + wf, (b, c, n))
+    x5 = T.reshape(T.transpose(x, (0, 2, 1)), (b, _check_groups(c, gs), gs, ws, ws))
+    y = T.reshape(_branch(kind, p, "h", x5) + _branch(kind, p, "w", x5), (b, c, n))
     return T.linear(T.transpose(y, (0, 2, 1)), p["w_p"], p["b_p"])
 
 
@@ -215,8 +202,7 @@ def init_param(leaf: str, shape, rng: np.random.Generator, dtype=np.float32) -> 
     return Tensor(fill(shape, dtype=dtype), requires_grad=True)
 
 
-def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor],
-              layout_faithful: bool = False) -> Tensor:
+def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Uniform entry point: token-major windows (B, ws*ws, C) in and out.
 
     ``params`` maps exactly the ``param_shapes`` names of ``kind`` to
@@ -229,4 +215,4 @@ def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor],
                          f"got {sorted(params)}")
     if kind == "MHSA":
         return _window_mhsa_forward(windows, params)
-    return _axial_forward(windows, kind, params, layout_faithful)
+    return _axial_forward(windows, kind, params)

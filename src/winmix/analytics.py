@@ -10,14 +10,14 @@ MACs depend only on shapes, it runs on a zero table from ``table_shapes``.
 
 Connectivity propagates boolean token-influence masks through the block
 sequence on a fixed token grid, using each aggregator's intra-window pattern
-(axial cross for the linear/MLP family, full window for attention) and the
-exact communication permutations, traced through the model's own geometry
-ops. The masks live on the window grid, so a block costs ``any``
-reductions over the window axes, O(N * M) boolean work for N tokens and M
-sources, rather than a dense (N, N) product; the 56x56 stage-0 grid of a
-224 px image is feasible. Stage transitions are treated as
-influence-preserving so the analysis isolates the mixing/communication
-mechanism itself.
+(axial cross for the linear/MLP family, full window for attention; both are
+exact) and the exact communication permutations, traced through the model's
+own geometry ops; padded positions start every block empty. The masks live
+on the window grid, so a block costs ``any`` reductions over the window
+axes, O(N * M) boolean work for N tokens and M sources, rather than a dense
+(N, N) product; the 56x56 stage-0 grid of a 224 px image is feasible. Stage
+transitions are treated as influence-preserving so the analysis isolates the
+mixing/communication mechanism itself.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     """Propagate boolean token influence through every block at a fixed grid.
 
     The grid is padded to the window size if needed; padded positions are
-    excluded from the report (as the model crops them). Influence spreads via
+    excluded from the report and cleared after each block, as the model crops
+    them and the next block pads with fresh zeros. Influence spreads via
     the aggregator's intra-window pattern, the residual path, and the exact
     comm permutations; per-token ops (norms, FFN) preserve it.
 
@@ -286,11 +287,12 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     hp, wp = _ceil_to(grid_h, ws), _ceil_to(grid_w, ws)
     gh, gw = hp // ws, wp // ws
     n = hp * wp
-    real_idx = np.flatnonzero((np.arange(n) // wp < grid_h) & (np.arange(n) % wp < grid_w))
-    m = real_idx.size
+    real = (np.arange(n) // wp < grid_h) & (np.arange(n) % wp < grid_w)
+    m = int(real.sum())
+    pad = np.flatnonzero(~real)
 
     r = np.zeros((n, m), dtype=bool)
-    r[real_idx, np.arange(m)] = True
+    r[real, np.arange(m)] = True
 
     perm = None
     if cfg.comm == "Shift":
@@ -320,7 +322,7 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
                                     gh, gw, region)
                 v = v | msg.reshape(gh, 1, gw, 1, m)
             if cfg.aggregator == "MHSA":
-                v = np.broadcast_to(v.any(axis=(1, 3), keepdims=True), v.shape)
+                v = v | v.any(axis=(1, 3), keepdims=True)  # a writable full-size array
             else:
                 # axial cross; every token lies on its own row, so the
                 # residual path is already covered
@@ -328,11 +330,12 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
             r = v.reshape(n, m)
             if moved:
                 r = r[inv]
-            snapshot = r[real_idx]
+            snapshot = r[real]
             report.layers.append(snapshot)
             report.labels.append(f"stage{s}.block{i}")
             if report.first_full is None and snapshot.all():
                 report.first_full = block_no
+            r[pad] = False  # the next block pads with fresh zeros
     return report
 
 

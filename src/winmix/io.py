@@ -128,12 +128,12 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a WMIX file back into (config dict, ordered name -> array).
 
-    A truncated or garbled header, config blob or tensor record raises
-    CheckpointError. A file cut exactly on a record boundary still parses,
-    as a file with fewer records; v1 has no checksum to tell the two apart,
-    so callers that know what to expect check it (``load_model`` checks the
-    records against the config's ``table_shapes``, ``load_state`` the moment
-    names).
+    A truncated or garbled header, config blob or tensor record, or a second
+    record of one name, raises CheckpointError. A file cut exactly on a
+    record boundary still parses, as a file with fewer records; v1 has no
+    checksum to tell the two apart, so callers that know what to expect
+    check it (``load_model`` checks the records against the config's
+    ``table_shapes``, ``load_state`` the moment names).
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _WMIX_MAGIC:
@@ -168,6 +168,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
             name = raw[off:off + name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError(f"{path}: garbled tensor name at byte {off}") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor record {name!r} at byte {off - 4}")
         off += name_len
         code, rank = struct.unpack_from("<BB", raw, off)
         off += 2

@@ -77,7 +77,6 @@ class ModelConfig:
     mlp_ratio: int = 4
     messenger_count: int = 1
     messenger_region: int = 2
-    layout_faithful: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
@@ -108,6 +107,10 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        if isinstance(d, dict) and "layout_faithful" in d:  # retired; old files hold false
+            if (old := d["layout_faithful"]) is not False:
+                raise ConfigError(f"retired config field 'layout_faithful' must be false, got {old!r}")
+            d = {k: v for k, v in d.items() if k != "layout_faithful"}
         return dataclass_from_dict(ModelConfig, d, "config", ConfigError)
 
 
@@ -336,8 +339,7 @@ def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
 
     normed = T.layer_norm(win, model.params[f"{prefix}.norm1.g"],
                           model.params[f"{prefix}.norm1.b"])
-    win = win + agg.aggregate(cfg.aggregator, normed, _agg_params(model, prefix),
-                              cfg.layout_faithful)
+    win = win + agg.aggregate(cfg.aggregator, normed, _agg_params(model, prefix))
 
     fm = geo.window_reverse(win, fm.height, fm.width)
     if active and cfg.comm == "Shift":

@@ -59,14 +59,16 @@ class Hyperparams:
     target_accuracy: float | None = None  # early-stop threshold on val accuracy
 
     def __post_init__(self):
-        if self.lr < 0 or self.weight_decay < 0:
-            raise ValueError("lr and weight_decay must be non-negative")
+        if not (0 <= self.lr < np.inf and 0 <= self.weight_decay < np.inf):
+            raise ValueError("lr and weight_decay must be finite and non-negative")
         if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("steps, batch_size and eval_every must be >= 1")
         if not (0.0 <= self.warmup_frac <= 1.0):
             raise ValueError("warmup_frac must lie in [0, 1]")
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ValueError("label_smoothing must lie in [0, 1)")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1) and eps must be positive")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -134,21 +136,23 @@ def _adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> N
     state.model = state.model.replace_params(new_params)
 
 
-def _check_labels(labels: np.ndarray, classes: int, what: str) -> None:
-    """Raise ValueError naming the first label outside [0, classes)."""
+def _check_split(labels: np.ndarray, classes: int, split: str) -> None:
+    """Raise ValueError naming an empty split or its first label outside [0, classes)."""
+    if labels.size == 0:
+        raise ValueError(f"{split} split is empty")
     bad = labels[(labels < 0) | (labels >= classes)]
     if bad.size:
-        raise ValueError(f"{what} {int(bad[0])} out of range for {classes} classes")
+        raise ValueError(f"{split} label {int(bad[0])} out of range for {classes} classes")
 
 
 def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> tuple[float, float]:
     """Top-1 accuracy and mean cross-entropy over a dataset split.
 
-    Raises ValueError when a label lies outside [0, classes).
+    Raises ValueError when it is empty or a label lies outside [0, classes).
     """
     labels = np.asarray(labels)
-    _check_labels(labels, model.config.classes, "label")
+    _check_split(labels, model.config.classes, "evaluated")
     n = images.shape[0]
     correct = 0
     losses = np.empty(n, dtype=np.float64)
@@ -173,10 +177,12 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
     pauses earlier than hp.steps while keeping the full-run schedule (the
     warmup/cosine shape depends on hp.steps, not on where you pause). A
     non-finite loss aborts with DivergenceError after writing the last-good
-    checkpoint (when out_dir is given). A training label outside
-    [0, classes) raises ValueError before the first step.
+    checkpoint (when out_dir is given). An empty training or validation
+    split, or a label outside [0, classes), raises ValueError before the
+    first step.
     """
-    _check_labels(data.train_labels, cfg.classes, "training label")
+    _check_split(data.train_labels, cfg.classes, "training")
+    _check_split(data.val_labels, cfg.classes, "validation")
     if state is None:
         model = build_model(cfg, seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed + 1))

@@ -37,8 +37,7 @@ def softmax_ref(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def linmapper_loops(x, w_h, b_h, w_w, b_w, w_p, b_p, gs, ws, layout_faithful=False,
-                    activation=None, second=None):
+def linmapper_loops(x, w_h, b_h, w_w, b_w, w_p, b_p, gs, ws, activation=None, second=None):
     """Scalar-indexed grouped axial mixing.
 
     ``second``: optional (w2, b2) pairs ((w2_h, b2_h), (w2_w, b2_w)) turning
@@ -46,7 +45,7 @@ def linmapper_loops(x, w_h, b_h, w_w, b_w, w_p, b_p, gs, ws, layout_faithful=Fal
     Per-group weights are supported by passing 3-D w_h/w_w (one matrix per
     group).
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)  # the chunk writes below need views
+    x = np.asarray(x, dtype=np.float64)
     bsz, c, n = x.shape
     g = c // gs
     hf = np.zeros_like(x)
@@ -80,23 +79,14 @@ def linmapper_loops(x, w_h, b_h, w_w, b_w, w_p, b_p, gs, ws, layout_faithful=Fal
                 for cg in range(gs):
                     for h in range(ws):
                         hf[b, gi * gs + cg, h * ws + w] = y[cg * ws + h]
-            if layout_faithful:
-                flat = x[b, gi * gs:(gi + 1) * gs].reshape(-1)  # row-major group
-                for r in range(ws):
-                    vec = flat[r * gs * ws:(r + 1) * gs * ws]
-                    y = apply_map(vec, np.asarray(w_w, dtype=np.float64),
-                                  np.asarray(b_w, dtype=np.float64), sec_w, gi)
-                    out_flat = wf[b, gi * gs:(gi + 1) * gs].reshape(-1)
-                    out_flat[r * gs * ws:(r + 1) * gs * ws] = y
-            else:
-                for h in range(ws):  # width branch: one vector per height row
-                    vec = np.array([x[b, gi * gs + cg, h * ws + w]
-                                    for cg in range(gs) for w in range(ws)])
-                    y = apply_map(vec, np.asarray(w_w, dtype=np.float64),
-                                  np.asarray(b_w, dtype=np.float64), sec_w, gi)
-                    for cg in range(gs):
-                        for w in range(ws):
-                            wf[b, gi * gs + cg, h * ws + w] = y[cg * ws + w]
+            for h in range(ws):  # width branch: one vector per height row
+                vec = np.array([x[b, gi * gs + cg, h * ws + w]
+                                for cg in range(gs) for w in range(ws)])
+                y = apply_map(vec, np.asarray(w_w, dtype=np.float64),
+                              np.asarray(b_w, dtype=np.float64), sec_w, gi)
+                for cg in range(gs):
+                    for w in range(ws):
+                        wf[b, gi * gs + cg, h * ws + w] = y[cg * ws + w]
     fused = hf + wf
     out = np.zeros_like(x)
     for b in range(bsz):
@@ -234,8 +224,7 @@ def block_forward_windowed_ffn(model, x, stage, index, msg=None):
                         p[f"{prefix}.msg.distribute.b"])
         win = win + T.reshape(dist, (dist.shape[0], 1, dist.shape[1]))
     normed = T.layer_norm(win, p[f"{prefix}.norm1.g"], p[f"{prefix}.norm1.b"])
-    win = win + agg.aggregate(cfg.aggregator, normed, M._agg_params(model, prefix),
-                              cfg.layout_faithful)
+    win = win + agg.aggregate(cfg.aggregator, normed, M._agg_params(model, prefix))
     normed = T.layer_norm(win, p[f"{prefix}.norm2.g"], p[f"{prefix}.norm2.b"])
     win = win + M._ffn(model, prefix, normed)
 

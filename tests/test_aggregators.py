@@ -26,7 +26,7 @@ def linear_params(rng, c, ws, gs, w_h=None, w_w=None, w_p=None, zeros_bias=True)
         w_p=t64(pick(w_p, (c, c))), b_p=t64(np.zeros(c)))
 
 
-def axial_loop_oracle(kind, x, p, gs, ws, layout_faithful):
+def axial_loop_oracle(kind, x, p, gs, ws):
     """``linmapper_loops`` on token-major windows ``x`` for an axial kind."""
     n = {name: t.numpy() for name, t in p.items()}
     layer = "1" if kind == "MLP" else ""
@@ -35,15 +35,14 @@ def axial_loop_oracle(kind, x, p, gs, ws, layout_faithful):
     if kind == "MLP":
         extra = dict(activation=gelu_ref,
                      second=((n["w2_h"], n["b2_h"]), (n["w2_w"], n["b2_w"])))
-    out = linmapper_loops(x.transpose(0, 2, 1), *maps, n["w_p"], n["b_p"], gs, ws,
-                          layout_faithful=layout_faithful, **extra)
+    out = linmapper_loops(x.transpose(0, 2, 1), *maps, n["w_p"], n["b_p"], gs, ws, **extra)
     return out.transpose(0, 2, 1)
 
 
-def assert_matches_loop_oracle(kind, p, rng, c, ws, gs, layout_faithful, atol):
+def assert_matches_loop_oracle(kind, p, rng, c, ws, gs, atol):
     x = rng.standard_normal((2, ws * ws, c))
-    got = A.aggregate(kind, t64(x), p, layout_faithful).numpy()
-    want = axial_loop_oracle(kind, x, p, gs, ws, layout_faithful)
+    got = A.aggregate(kind, t64(x), p).numpy()
+    want = axial_loop_oracle(kind, x, p, gs, ws)
     assert np.abs(got - want).max() <= atol
 
 
@@ -73,30 +72,12 @@ class TestLinMapper:
         out = A.aggregate("Linear", x, p).numpy()
         np.testing.assert_array_equal(out.reshape(-1), [3.0, 4.0, 1.0, 2.0])
 
-    @pytest.mark.parametrize("layout", [False, True])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_scalar_loop_oracle(self, layout, seed):
+    def test_matches_scalar_loop_oracle(self, seed):
         rng = np.random.default_rng(10 + seed)
         c, ws, gs = 6, 3, 2
         p = linear_params(rng, c, ws, gs, zeros_bias=False)
-        assert_matches_loop_oracle("Linear", p, rng, c, ws, gs, layout, atol=1e-10)
-
-    def test_layout_mode_differs_from_symmetric_when_gs_gt_1(self):
-        rng = np.random.default_rng(20)
-        p = linear_params(rng, 4, 2, 2, zeros_bias=False)
-        x = t64(rng.standard_normal((1, 4, 4)))
-        sym = A.aggregate("Linear", x, p, layout_faithful=False).numpy()
-        lit = A.aggregate("Linear", x, p, layout_faithful=True).numpy()
-        assert np.abs(sym - lit).max() > 1e-6
-
-    def test_layout_mode_equal_when_gs_1(self):
-        # with one channel per group the row-major chunk is exactly a row
-        rng = np.random.default_rng(21)
-        p = linear_params(rng, 3, 2, 1, zeros_bias=False)
-        x = t64(rng.standard_normal((2, 4, 3)))
-        sym = A.aggregate("Linear", x, p, layout_faithful=False).numpy()
-        lit = A.aggregate("Linear", x, p, layout_faithful=True).numpy()
-        np.testing.assert_allclose(sym, lit, rtol=1e-12)
+        assert_matches_loop_oracle("Linear", p, rng, c, ws, gs, atol=1e-10)
 
     def test_group_divisibility_enforced(self):
         with pytest.raises(ShapeError):
@@ -164,8 +145,7 @@ class TestDWLinMapper:
         rng = np.random.default_rng(40 + seed)
         c, ws, gs = 4, 2, 2
         p = self.dw_params(rng, c, ws, gs)
-        for layout in (False, True):
-            assert_matches_loop_oracle("DWLinear", p, rng, c, ws, gs, layout, atol=1e-10)
+        assert_matches_loop_oracle("DWLinear", p, rng, c, ws, gs, atol=1e-10)
 
     def test_same_flops_as_shared(self):
         rng = np.random.default_rng(50)
@@ -221,8 +201,7 @@ class TestWindowMlp:
         rng = np.random.default_rng(70 + seed)
         c, ws, gs, rho = 4, 2, 2, 2
         p = self.mlp_params(rng, c, ws, gs, rho)
-        for layout in (False, True):
-            assert_matches_loop_oracle("MLP", p, rng, c, ws, gs, layout, atol=1e-5)
+        assert_matches_loop_oracle("MLP", p, rng, c, ws, gs, atol=1e-5)
 
 
 class TestWindowMhsa:

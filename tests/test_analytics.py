@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from winmix import analytics as AN
 from winmix import geometry as geo
@@ -28,8 +30,10 @@ def dense_connectivity(cfg: ModelConfig, grid_h: int, grid_w: int):
 
     Token i draws from token j when both lie in one window (MHSA) or on one
     row or column of one window (axial aggregators); messengers pool each
-    window through a (windows, N) membership matrix. Returns the per-block
-    masks and the 1-based first full block, as ``connectivity`` reports them.
+    window through a (windows, N) membership matrix. Padded positions are
+    cleared after each block, as the model crops them and re-pads with zeros.
+    Returns the per-block masks and the 1-based first full block, as
+    ``connectivity`` reports them.
     """
     ws = cfg.window
     hp, wp = -(-grid_h // ws) * ws, -(-grid_w // ws) * ws
@@ -37,7 +41,8 @@ def dense_connectivity(cfg: ModelConfig, grid_h: int, grid_w: int):
     n = hp * wp
     rows, cols = np.divmod(np.arange(n), wp)
     wid = (rows // ws) * gw + cols // ws
-    real_idx = np.flatnonzero((rows < grid_h) & (cols < grid_w))
+    real = (rows < grid_h) & (cols < grid_w)
+    real_idx = np.flatnonzero(real)
     r = np.zeros((n, real_idx.size), dtype=bool)
     r[real_idx, np.arange(real_idx.size)] = True
 
@@ -80,7 +85,33 @@ def dense_connectivity(cfg: ModelConfig, grid_h: int, grid_w: int):
             layers.append(r[real_idx])
             if first_full is None and layers[-1].all():
                 first_full = block_no
+            r = r & real[:, None]
     return layers, first_full
+
+
+def probe_connectivity(model, grid_h: int, grid_w: int, rng) -> list[np.ndarray]:
+    """Token influence measured on the forward pass of stage 0's blocks.
+
+    Batch element j bumps one channel of input token j (a uniform bump would
+    be erased by the norms); mask[i, j] after a block is whether output token
+    i of element j differs from an unbumped batch run through the same
+    shapes, so only a real dependence moves it. One mask per stage-0 block.
+    """
+    n, c = grid_h * grid_w, model.config.width
+    base = np.broadcast_to(rng.standard_normal((1, grid_h, grid_w, c)), (n, grid_h, grid_w, c))
+    bumped = base.copy()
+    bumped.reshape(n, n, c)[np.arange(n), np.arange(n), 0] += 0.01
+
+    def run(vals):
+        fm = FeatureMap(Tensor(vals, dtype=np.float64))
+        msg, outs = M._init_messengers(model, 0, fm), []
+        with T.no_grad():
+            for i in range(model.config.depths[0]):
+                fm, msg = M.block_forward(model, fm, 0, i, msg)
+                outs.append(fm.values.numpy().reshape(n, n, c))
+        return outs
+
+    return [(np.abs(p - b).sum(axis=2) > 0).T for p, b in zip(run(bumped), run(base.copy()))]
 
 
 def random_config(rng) -> ModelConfig:
@@ -300,30 +331,34 @@ class TestConnectivity:
                           aggregator=agg, comm=comm, groups=4)
         grid = 6
         rep = connectivity(cfg, grid, grid)
-        symbolic = rep.layers[cfg.depths[0] - 1]
-
         m = build_model(cfg, seed=0, dtype=np.float64)
-        rng = np.random.default_rng(1)
-        base_vals = rng.standard_normal((1, grid, grid, 8))
+        probed = probe_connectivity(m, grid, grid, np.random.default_rng(1))
+        for numeric, symbolic in zip(probed, rep.layers):
+            np.testing.assert_array_equal(numeric, symbolic)
 
-        def run(vals):
-            fm = FeatureMap(Tensor(vals, dtype=np.float64))
-            msg = M._init_messengers(m, 0, fm)
-            with T.no_grad():
-                for i in range(cfg.depths[0]):
-                    fm, msg = M.block_forward(m, fm, 0, i, msg)
-            return fm.values.numpy()
-
-        base = run(base_vals)
-        n = grid * grid
-        numeric = np.zeros((n, n), dtype=bool)
-        for j in range(n):
-            probe = base_vals.copy()
-            # single-channel bump: a uniform one would be erased by the norms
-            probe[0, j // grid, j % grid, 0] += 0.01
-            delta = np.abs(run(probe) - base).sum(axis=3)[0]
-            numeric[:, j] = (delta > 0).reshape(-1)
-        np.testing.assert_array_equal(numeric, symbolic)
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(("Linear", "DWLinear", "MLP", "MHSA")),
+           st.sampled_from(("Shift", "Shuffle", "MSG", "None")),
+           st.integers(2, 3), st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+           st.integers(0, 2 ** 32 - 1))
+    def test_padded_grids_match_numeric_probe(self, agg, comm, ws, gs, groups, depth,
+                                              region, grid_h, grid_w, seed):
+        # generic weights and nonzero biases, so no path cancels by accident,
+        # at std 0.5 so no softmax saturates; a norm over 1 or 2 channels
+        # erases a small bump, so 3 or more
+        assume(gs * groups >= 3)
+        cfg = ModelConfig(width=gs * groups, depths=(depth, 1, 1, 1), window=ws,
+                          aggregator=agg, comm=comm, classes=2, groups=groups,
+                          heads_divisor=2, messenger_region=region)
+        rng = np.random.default_rng(seed)
+        m = build_model(cfg, seed=0, dtype=np.float64)
+        m = m.replace_params({k: Tensor(0.5 * rng.standard_normal(t.shape))
+                              for k, t in m.params.items()})
+        rep = connectivity(cfg, grid_h, grid_w)
+        probed = probe_connectivity(m, grid_h, grid_w, rng)
+        for block, (numeric, symbolic) in enumerate(zip(probed, rep.layers)):
+            np.testing.assert_array_equal(numeric, symbolic, err_msg=f"block {block}")
 
 
 class TestBench:

@@ -136,6 +136,21 @@ class TestGradcheck:
         assert code == 2
 
 
+def test_retired_layout_faithful_true_exits_1(capsys, tmp_path):
+    cfg = preset("toy-desk").to_dict() | {"layout_faithful": True}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "describe", str(tmp_path / "cfg.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "'layout_faithful' must be false" in err
+    model = build_model(preset("toy-desk"), seed=0)
+    save_checkpoint(tmp_path / "old.wmix", {"model": cfg},
+                    {k: t.numpy() for k, t in model.params.items()})
+    code, out, err = run_cli(capsys, "bench", "--ckpt", str(tmp_path / "old.wmix"),
+                             "--res", "16")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "old.wmix" in err and "'layout_faithful'" in err
+
+
 class TestTrainEvalBench:
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
@@ -332,6 +347,31 @@ class TestTrainEvalBench:
                                "--data", str(tmp_path / "train.wdat"),
                                "--val-data", str(tmp_path / "val.wdat"))
         assert code == 0
+
+    def test_eval_on_empty_wdat_split_exits_1(self, capsys, tmp_path):
+        from winmix.io import save_wdat
+        gen_dataset(DatasetSpec(n_train=8, n_val=8, size=16)).save_wdat(
+            tmp_path / "train.wdat", tmp_path / "full.wdat")
+        save_wdat(tmp_path / "val.wdat", np.zeros((0, 16, 16, 3), dtype=np.uint8),
+                  np.zeros(0, dtype=np.int64))
+        save_model(tmp_path / "m.wmix", build_model(preset("toy-desk"), seed=0))
+        code, out, err = run_cli(capsys, "eval", "--ckpt", str(tmp_path / "m.wmix"),
+                                 "--data", str(tmp_path / "train.wdat"),
+                                 "--val-data", str(tmp_path / "val.wdat"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "split is empty" in err
+
+    @pytest.mark.parametrize("hp", [{"beta1": 1.0}, {"beta2": 1.5}, {"eps": 0},
+                                    {"lr": float("nan")}])
+    def test_out_of_range_optimizer_constant_exits_1(self, capsys, artifacts, tmp_path, hp):
+        (tmp_path / "hp.json").write_text(json.dumps({"steps": 2} | hp))
+        code, out, err = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),
+                                 "--hp", str(tmp_path / "hp.json"),
+                                 "--data", str(artifacts / "data.json"),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and next(iter(hp)) in err
+        assert not (tmp_path / "run").exists()
 
     def test_label_beyond_model_classes_exits_1(self, capsys, tmp_path):
         # a 10-class dataset against the 4-class toy-desk model

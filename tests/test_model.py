@@ -87,6 +87,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"'{key}' must be"):
             ModelConfig.from_dict(d)
 
+    def test_retired_layout_faithful_false_loads_true_rejected(self):
+        # every file written while the field existed holds "layout_faithful": false
+        cfg = preset("toy-desk")
+        assert ModelConfig.from_dict(cfg.to_dict() | {"layout_faithful": False}) == cfg
+        for value in (True, 0, None):
+            with pytest.raises(ConfigError, match="'layout_faithful' must be false"):
+                ModelConfig.from_dict(cfg.to_dict() | {"layout_faithful": value})
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            ModelConfig.from_dict([("layout_faithful", True)])
+
 
 class TestBuild:
     def test_same_seed_bit_identical(self):
@@ -468,6 +478,22 @@ class TestCheckpoint:
         path = tmp_path / f"{edit}.wmix"
         save_checkpoint(path, {"model": m.config.to_dict()}, tensors)
         with pytest.raises(CheckpointError, match=rf"{edit}\.wmix: record '{record}'"):
+            M.load_model(path)
+
+    def test_duplicate_record_names_record_and_offset(self, tmp_path):
+        # a second record of one name used to replace the first silently
+        import struct
+        from winmix.io import CheckpointError
+        m = build_model(TINY, seed=22)
+        path = tmp_path / "dup.wmix"
+        M.save_model(path, m)
+        raw = path.read_bytes()
+        zeros = np.zeros_like(m.params["stem.proj.w"].numpy())
+        name = b"stem.proj.w"
+        path.write_bytes(raw + struct.pack("<I", len(name)) + name
+                         + struct.pack("<BB2Q", 0, 2, *zeros.shape) + zeros.tobytes())
+        with pytest.raises(CheckpointError,
+                           match=f"duplicate tensor record 'stem.proj.w' at byte {len(raw)}"):
             M.load_model(path)
 
     def test_magic_checked(self, tmp_path):

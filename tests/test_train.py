@@ -54,6 +54,16 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Hyperparams(steps=0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("eps", 0.0), ("eps", -1e-8),
+        ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan)])
+    def test_optimizer_constants_validated(self, key, value):
+        # each of these used to train a step and then fail or run silently
+        with pytest.raises(ValueError, match=key):
+            Hyperparams(**{key: value})
+        with pytest.raises(ValueError, match=key):
+            Hyperparams.from_dict(json.loads(json.dumps({key: value})))
+
     def test_from_dict_names_unknown_keys(self):
         assert Hyperparams.from_dict({"steps": 2}) == Hyperparams(steps=2)
         with pytest.raises(ValueError, match=r"\['bogus'\]"):
@@ -103,6 +113,19 @@ class TestTraining:
         monkeypatch.setattr(importlib.import_module("winmix.train"), "forward", no_steps)
         with pytest.raises(ValueError, match=f"training label {bad} out of range for 4"):
             train(CFG, data, Hyperparams(steps=2), seed=0)
+
+    def test_empty_validation_split_rejected_before_first_step(self, small_data,
+                                                               monkeypatch, tmp_path):
+        data = dataclasses.replace(small_data, val_images=small_data.val_images[:0],
+                                   val_labels=small_data.val_labels[:0])
+
+        def no_steps(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(importlib.import_module("winmix.train"), "forward", no_steps)
+        with pytest.raises(ValueError, match="validation split is empty"):
+            train(CFG, data, Hyperparams(steps=2), seed=0, out_dir=tmp_path)
+        assert not (tmp_path / "last_good.wmix").exists()
 
     def test_lr_zero_keeps_parameters(self, small_data):
         hp = Hyperparams(lr=0.0, steps=5, eval_every=5)
@@ -161,6 +184,12 @@ class TestEvaluate:
         model = build_model(CFG, seed=0)
         with pytest.raises(ValueError, match=f"label {bad} out of range for 4 classes"):
             evaluate(model, images, [0, 1, bad])
+
+    def test_empty_split_rejected(self):
+        # it used to divide by the zero example count
+        model = build_model(CFG, seed=0)
+        with pytest.raises(ValueError, match="evaluated split is empty"):
+            evaluate(model, np.zeros((0, 8, 8, 3), dtype=np.float32), np.zeros(0, dtype=np.int64))
 
     def test_batch_size_invariance(self, small_data):
         model = build_model(CFG, seed=2)
@@ -368,6 +397,8 @@ TRAIN_BLOB_DEFECTS = {
         "'rng_state': invalid literal"),
     "hp steps 0": (lambda tr: {**tr, "hp": {**tr["hp"], "steps": 0}},
                    r"'hp': steps, batch_size and eval_every must be >= 1"),
+    "hp beta1 1": (lambda tr: {**tr, "hp": {**tr["hp"], "beta1": 1.0}},
+                   r"'hp': beta1 and beta2 must lie in \[0, 1\)"),
     "evals of empty objects": (_with("evals", [{}]),
                                r"'evals' entry 0 needs numeric \['step', 'lr', "),
     "eval accuracy a string": (
