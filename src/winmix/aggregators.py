@@ -44,10 +44,11 @@ __all__ = [
 ]
 
 AGGREGATOR_KINDS = ("Linear", "DWLinear", "MLP", "MHSA")
+MLP_RATIO = 4  # the MLP map's hidden width over its gs*ws input
 
 
 def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
-                 rho: int = 4) -> dict[str, tuple[int, ...]]:
+                 rho: int = MLP_RATIO) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape of one aggregation layer's parameters.
 
     The order is both the init draw order and the checkpoint record order;

@@ -29,7 +29,9 @@ import numpy as np
 
 from . import geometry as geo
 from . import tensor as T
+from .aggregators import MLP_RATIO
 from .model import (
+    FFN_RATIO,
     Model,
     ModelConfig,
     choose_messenger_region,
@@ -117,8 +119,7 @@ def _agg_param_count(cfg: ModelConfig, stage: int) -> int:
         return 2 * (k * k + k) + c * c + c
     if cfg.aggregator == "DWLinear":
         return groups * 2 * (k * k + k) + c * c + c
-    rho = cfg.mlp_ratio
-    return 2 * (2 * rho * k * k + rho * k + k) + c * c + c
+    return 2 * (2 * MLP_RATIO * k * k + MLP_RATIO * k + k) + c * c + c
 
 
 def _agg_flops_per_window(cfg: ModelConfig, stage: int) -> int:
@@ -131,7 +132,7 @@ def _agg_flops_per_window(cfg: ModelConfig, stage: int) -> int:
     k = gs * ws
     axial = 2 * groups * ws * k * k
     if cfg.aggregator == "MLP":
-        axial = 2 * groups * ws * 2 * cfg.mlp_ratio * k * k
+        axial = 2 * groups * ws * 2 * MLP_RATIO * k * k
     return axial + c * c * n
 
 
@@ -158,11 +159,10 @@ def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
     for s in range(4):
         c = stage_channels(cfg, s)
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            yield CostRow(f"stage{s}.msg_init", cfg.messenger_count * c, 0)
+            yield CostRow(f"stage{s}.msg_init", c, 0)
         windows = _ceil_to(h, ws) * _ceil_to(w, ws) // (ws * ws)
         agg = (_agg_param_count(cfg, s), windows * _agg_flops_per_window(cfg, s))
-        ffn = (2 * cfg.ffn_ratio * c * c + (cfg.ffn_ratio + 1) * c,
-               2 * cfg.ffn_ratio * c * c * h * w)
+        ffn = (2 * FFN_RATIO * c * c + (FFN_RATIO + 1) * c, 2 * FFN_RATIO * c * c * h * w)
         for i in range(cfg.depths[s]):
             prefix = f"stage{s}.block{i}"
             yield CostRow(f"{prefix}.norms", 4 * c, 0)
@@ -308,8 +308,7 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
         msg: np.ndarray | None = None
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
             msg = np.zeros((gh * gw, m), dtype=bool)
-            region = choose_messenger_region(gh, gw, stage_channels(cfg, s),
-                                             cfg.messenger_region)
+            region = choose_messenger_region(gh, gw, stage_channels(cfg, s))
         for i in range(cfg.depths[s]):
             block_no += 1
             active = comm_active(cfg, i)

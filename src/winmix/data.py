@@ -43,9 +43,23 @@ __all__ = [
     "dataset_from_wdat",
 ]
 
+# every grating: per-sample phase and orientation jitter (radians), amplitude
+# range, and the class-0 frequency and per-class step (cycles per image side)
+PHASE_JITTER, ORIENT_JITTER = 2.0, 0.08
+AMP_MIN, AMP_MAX = 0.3, 0.45
+BASE_FREQ, FREQ_STEP = 2.0, 1.5
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """What to generate; ``gen_dataset`` makes the same data for equal specs.
+
+    The gratings' jitter, amplitude and frequencies are the module constants
+    above; ``from_dict`` reads old files that name them as fields, at those
+    values only. A negative or non-finite ``noise``, or an odd ``size`` in
+    quadrant-parity mode, raises ValueError naming the field.
+    """
+
     seed: int = 0
     n_train: int = 2048
     n_val: int = 512
@@ -53,20 +67,22 @@ class DatasetSpec:
     size: int = 32  # image width, and height unless ``height`` is set
     mode: str = "textures"  # textures | quadrant-parity | seam-phase
     noise: float = 0.12
-    phase_jitter: float = 2.0
-    orient_jitter: float = 0.08
-    amp_min: float = 0.3
-    amp_max: float = 0.45
-    base_freq: float = 2.0
-    freq_step: float = 1.5
     height: int | None = None  # image rows; None means square (size x size)
+
+    def __post_init__(self):
+        if not 0.0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.mode == "quadrant-parity" and self.size % 2:
+            raise ValueError(f"quadrant-parity mode needs an even size, got {self.size}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "DatasetSpec":
-        return dataclass_from_dict(DatasetSpec, d, "dataset spec")
+        return dataclass_from_dict(DatasetSpec, d, "dataset spec", retired={
+            "phase_jitter": PHASE_JITTER, "orient_jitter": ORIENT_JITTER, "amp_min": AMP_MIN,
+            "amp_max": AMP_MAX, "base_freq": BASE_FREQ, "freq_step": FREQ_STEP})
 
 
 @dataclass
@@ -94,16 +110,16 @@ def _balanced_labels(n: int, classes: int) -> np.ndarray:
     return np.tile(np.arange(classes), n // classes)
 
 
-def _grating(rng, theta, freq, side: int, spec: DatasetSpec) -> np.ndarray:
+def _grating(rng, theta, freq, side: int) -> np.ndarray:
     """(n, side, side) sinusoidal gratings at base orientations ``theta`` (n,)
     and frequency ``freq`` (scalar or (n,)), with jittered orientation,
     phase and amplitude drawn in that order."""
     n = theta.size
     grid = (np.arange(side) + 0.5) / side
     u, v = np.meshgrid(grid, grid, indexing="ij")
-    theta = theta + rng.uniform(-spec.orient_jitter, spec.orient_jitter, n)
-    phase = rng.uniform(-spec.phase_jitter, spec.phase_jitter, n)
-    amp = rng.uniform(spec.amp_min, spec.amp_max, n)
+    theta = theta + rng.uniform(-ORIENT_JITTER, ORIENT_JITTER, n)
+    phase = rng.uniform(-PHASE_JITTER, PHASE_JITTER, n)
+    amp = rng.uniform(AMP_MIN, AMP_MAX, n)
     arg = (2.0 * np.pi * np.reshape(freq, (-1, 1, 1))
            * (u[None] * np.cos(theta)[:, None, None]
               + v[None] * np.sin(theta)[:, None, None])
@@ -120,8 +136,8 @@ def _rgb(rng, gray: np.ndarray, noise: float) -> np.ndarray:
 
 def _gratings(rng, labels, spec: DatasetSpec) -> np.ndarray:
     theta = np.pi * (labels + 0.5) / spec.classes
-    freq = spec.base_freq + spec.freq_step * labels
-    return _rgb(rng, _grating(rng, theta, freq, spec.size, spec), spec.noise)
+    freq = BASE_FREQ + FREQ_STEP * labels
+    return _rgb(rng, _grating(rng, theta, freq, spec.size), spec.noise)
 
 
 def _parity_images(rng, labels, spec: DatasetSpec) -> np.ndarray:
@@ -133,7 +149,7 @@ def _parity_images(rng, labels, spec: DatasetSpec) -> np.ndarray:
     images = np.full((n, s, s), 0.5)
     for bits, quadrant in ((first, np.s_[:, :half, :half]), (second, np.s_[:, half:, half:])):
         theta = np.where(bits == 0, np.pi / 4, 3 * np.pi / 4)
-        images[quadrant] = _grating(rng, theta, spec.base_freq + spec.freq_step, half, spec)
+        images[quadrant] = _grating(rng, theta, BASE_FREQ + FREQ_STEP, half)
     return _rgb(rng, images, spec.noise)
 
 

@@ -48,17 +48,25 @@ class CheckpointError(IOError):
     """Malformed or mismatched checkpoint/dataset file."""
 
 
-def dataclass_from_dict(cls, d, what: str, error: type[Exception] = ValueError):
+def dataclass_from_dict(cls, d, what: str, error: type[Exception] = ValueError,
+                        retired: dict | None = None):
     """Build the dataclass ``cls`` from a decoded JSON object.
 
     A value that is not an object, an object with keys that are not fields
     of ``cls`` or without a field that has no default, or a value that does
     not fit its field's type raises ``error`` naming ``what`` and the keys.
     A JSON int fits a float field; a JSON bool fits only a bool field; a
-    list fits a tuple field.
+    list fits a tuple field. ``retired`` maps each former field to the one
+    value it now stands for: that key is dropped when its value fits the
+    old value's type and equals it, and raises ``error`` naming it otherwise.
     """
     if not isinstance(d, dict):
         raise error(f"{what} must be a JSON object, got {type(d).__name__}")
+    for key, old in (retired or {}).items():
+        if key in d and not (_fits(d[key], type(old)) and d[key] == old):
+            raise error(f"retired {what} field {key!r} must be {json.dumps(old)}, "
+                        f"got {type(d[key]).__name__} {d[key]!r}")
+    d = {k: v for k, v in d.items() if k not in (retired or {})}
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(d) - set(fields)
     if unknown:

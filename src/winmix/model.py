@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 COMM_KINDS = ("Shift", "Shuffle", "MSG", "None")
+FFN_RATIO = 4  # FFN hidden width over block width, as in Swin
 
 
 class ConfigError(ValueError):
@@ -63,6 +64,9 @@ class ModelConfig:
     C_stage / heads_divisor, adjusted down to a divisor of C_stage.
     Construction (``from_dict`` and ``dataclasses.replace`` included)
     checks every field and raises ConfigError on a bad one.
+    ``FFN_RATIO``, ``aggregators.MLP_RATIO``, MSG's one messenger per window
+    and its region cap of 2 are fixed; ``from_dict`` reads old files that
+    name them as fields, at those values only.
     """
 
     width: int
@@ -70,13 +74,9 @@ class ModelConfig:
     window: int = 7
     aggregator: str = "Linear"
     comm: str = "Shift"
-    ffn_ratio: int = 4
     classes: int = 1000
     groups: int = 32
     heads_divisor: int = 32
-    mlp_ratio: int = 4
-    messenger_count: int = 1
-    messenger_region: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
@@ -91,14 +91,10 @@ class ModelConfig:
                 f"aggregator {self.aggregator!r} not in {agg.AGGREGATOR_KINDS}")
         if self.comm not in COMM_KINDS:
             raise ConfigError(f"comm {self.comm!r} not in {COMM_KINDS}")
-        if self.ffn_ratio < 1 or self.mlp_ratio < 1:
-            raise ConfigError("ffn_ratio and mlp_ratio must be >= 1")
         if self.classes < 2:
             raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if self.groups < 1 or self.heads_divisor < 1:
             raise ConfigError("groups and heads_divisor must be >= 1")
-        if self.messenger_count < 1 or self.messenger_region < 1:
-            raise ConfigError("messenger fields must be >= 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -107,11 +103,9 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        if isinstance(d, dict) and "layout_faithful" in d:  # retired; old files hold false
-            if (old := d["layout_faithful"]) is not False:
-                raise ConfigError(f"retired config field 'layout_faithful' must be false, got {old!r}")
-            d = {k: v for k, v in d.items() if k != "layout_faithful"}
-        return dataclass_from_dict(ModelConfig, d, "config", ConfigError)
+        return dataclass_from_dict(ModelConfig, d, "config", ConfigError, retired={
+            "layout_faithful": False, "ffn_ratio": FFN_RATIO, "mlp_ratio": agg.MLP_RATIO,
+            "messenger_count": 1, "messenger_region": 2})
 
 
 def _largest_divisor_leq(n: int, cap: int) -> int:
@@ -201,11 +195,11 @@ def table_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     c0 = cfg.width
     shapes = {"stem.proj.w": (c0, 48), "stem.proj.b": (c0,), **norm("stem.norm", c0)}
     for s in range(4):
-        c, hidden = stage_channels(cfg, s), cfg.ffn_ratio * stage_channels(cfg, s)
+        c, hidden = stage_channels(cfg, s), FFN_RATIO * stage_channels(cfg, s)
         agg_shapes = agg.param_shapes(cfg.aggregator, c, cfg.window, stage_groups(cfg, s)[1],
-                                      stage_heads(cfg, s), cfg.mlp_ratio)
+                                      stage_heads(cfg, s))
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            shapes[f"stage{s}.msg_init"] = (cfg.messenger_count, c)
+            shapes[f"stage{s}.msg_init"] = (1, c)
         for i in range(cfg.depths[s]):
             prefix = f"stage{s}.block{i}"
             shapes |= norm(f"{prefix}.norm1", c)
@@ -252,18 +246,19 @@ def _agg_params(model: Model, prefix: str) -> dict[str, Tensor]:
 # -- forward pieces -----------------------------------------------------------
 
 
-def patch_embed(model: Model, images: Tensor) -> FeatureMap:
-    """Non-overlapping 4x4 patch linear embedding followed by layer norm.
-
-    Images are (B, H, W, 3); H and W are zero-padded up to multiples of 4.
-    The token grid comes out as ceil(H/4) x ceil(W/4).
-    """
-    v = geo.pad_to_multiple(FeatureMap(images), 4).values
+def _space_to_depth(x: FeatureMap, k: int) -> Tensor:
+    """Zero-pad to multiples of k, then concatenate each k x k token patch
+    row-major into one token: (B, H, W, C) -> (B, ceil(H/k), ceil(W/k), k*k*C)."""
+    v = geo.pad_to_multiple(x, k).values
     b, h, w, c = v.shape
-    gh, gw = h // 4, w // 4
-    v = T.reshape(v, (b, gh, 4, gw, 4, c))
-    v = T.transpose(v, (0, 1, 3, 2, 4, 5))
-    v = T.reshape(v, (b, gh, gw, 16 * c))
+    v = T.transpose(T.reshape(v, (b, h // k, k, w // k, k, c)), (0, 1, 3, 2, 4, 5))
+    return T.reshape(v, (b, h // k, w // k, k * k * c))
+
+
+def patch_embed(model: Model, images: Tensor) -> FeatureMap:
+    """Non-overlapping 4x4 patch linear embedding followed by layer norm, on
+    (B, H, W, 3) images; the token grid is ceil(H/4) x ceil(W/4)."""
+    v = _space_to_depth(FeatureMap(images), 4)
     v = T.linear(v, model.params["stem.proj.w"], model.params["stem.proj.b"])
     v = T.layer_norm(v, model.params["stem.norm.g"], model.params["stem.norm.b"])
     return FeatureMap(v)
@@ -271,35 +266,30 @@ def patch_embed(model: Model, images: Tensor) -> FeatureMap:
 
 def patch_merge(model: Model, x: FeatureMap, stage: int) -> FeatureMap:
     """Concatenate each 2x2 token neighborhood, norm, reduce 4C -> 2C."""
-    v = geo.pad_to_multiple(x, 2).values
-    b, h, w, c = v.shape
-    v = T.reshape(v, (b, h // 2, 2, w // 2, 2, c))
-    v = T.transpose(v, (0, 1, 3, 2, 4, 5))
-    v = T.reshape(v, (b, h // 2, w // 2, 4 * c))
+    v = _space_to_depth(x, 2)
     v = T.layer_norm(v, model.params[f"merge{stage}.norm.g"],
                      model.params[f"merge{stage}.norm.b"])
     v = T.linear(v, model.params[f"merge{stage}.reduce.w"])
     return FeatureMap(v)
 
 
-def choose_messenger_region(gh: int, gw: int, c: int, target: int) -> int:
-    """Largest region side <= target that tiles the window grid and whose
-    area divides the channel count (1 disables the exchange)."""
-    for r in range(min(target, gh, gw), 0, -1):
+def choose_messenger_region(gh: int, gw: int, c: int) -> int:
+    """Largest region side <= 2 that tiles the window grid and whose area
+    divides the channel count (1 disables the exchange)."""
+    for r in range(min(2, gh, gw), 0, -1):
         if gh % r == 0 and gw % r == 0 and c % (r * r) == 0:
             return r
     return 1
 
 
 def _init_messengers(model: Model, stage: int, x: FeatureMap) -> Tensor | None:
-    """The stage's (windows, m, C) messenger tokens, or None without MSG."""
+    """The stage's (windows, 1, C) messenger tokens, or None without MSG."""
     cfg = model.config
     if cfg.comm != "MSG" or not stage_has_comm(cfg, stage):
         return None
     windows = x.batch * -(-x.height // cfg.window) * -(-x.width // cfg.window)
-    m, c = cfg.messenger_count, x.channels
     init = model.params[f"stage{stage}.msg_init"]
-    return T.broadcast_to(T.reshape(init, (1, m, c)), (windows, m, c))
+    return T.broadcast_to(T.reshape(init, (1, 1, x.channels)), (windows, 1, x.channels))
 
 
 def _ffn(model: Model, prefix: str, x: Tensor) -> Tensor:
@@ -329,7 +319,7 @@ def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
         upd = T.linear(pooled, model.params[f"{prefix}.msg.collect.w"],
                        model.params[f"{prefix}.msg.collect.b"])
         gh, gw = fm.height // ws, fm.width // ws
-        region = choose_messenger_region(gh, gw, x.channels, cfg.messenger_region)
+        region = choose_messenger_region(gh, gw, x.channels)
         msg = msg + T.reshape(upd, (upd.shape[0], 1, upd.shape[1]))
         msg = geo.messenger_exchange(msg, gh, gw, region)
         dist = T.linear(T.tmean(msg, axis=1),

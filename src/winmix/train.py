@@ -69,6 +69,9 @@ class Hyperparams:
             raise ValueError("label_smoothing must lie in [0, 1)")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0):
             raise ValueError("beta1 and beta2 must lie in [0, 1) and eps must be positive")
+        if self.target_accuracy is not None and not 0.0 <= self.target_accuracy <= 1.0:
+            raise ValueError(f"target_accuracy must be finite and lie in [0, 1], "
+                             f"got {self.target_accuracy}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

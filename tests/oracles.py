@@ -217,7 +217,7 @@ def block_forward_windowed_ffn(model, x, stage, index, msg=None):
         upd = T.linear(T.tmean(win, axis=1), p[f"{prefix}.msg.collect.w"],
                        p[f"{prefix}.msg.collect.b"])
         gh, gw = fm.height // ws, fm.width // ws
-        region = M.choose_messenger_region(gh, gw, x.channels, cfg.messenger_region)
+        region = M.choose_messenger_region(gh, gw, x.channels)
         msg = msg + T.reshape(upd, (upd.shape[0], 1, upd.shape[1]))
         msg = geo.messenger_exchange(msg, gh, gw, region)
         dist = T.linear(T.tmean(msg, axis=1), p[f"{prefix}.msg.distribute.w"],

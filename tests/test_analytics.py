@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from winmix import analytics as AN
@@ -65,8 +65,7 @@ def dense_connectivity(cfg: ModelConfig, grid_h: int, grid_w: int):
         msg = None
         if cfg.comm == "MSG" and M.stage_has_comm(cfg, s):
             msg = np.zeros((gh * gw, real_idx.size), dtype=bool)
-            region = M.choose_messenger_region(gh, gw, M.stage_channels(cfg, s),
-                                               cfg.messenger_region)
+            region = M.choose_messenger_region(gh, gw, M.stage_channels(cfg, s))
         for i in range(cfg.depths[s]):
             block_no += 1
             active = M.comm_active(cfg, i)
@@ -122,10 +121,8 @@ def random_config(rng) -> ModelConfig:
         window=int(rng.choice([2, 3, 4])),
         aggregator=str(rng.choice(["Linear", "DWLinear", "MLP", "MHSA"])),
         comm=str(rng.choice(["Shift", "Shuffle", "MSG", "None"])),
-        ffn_ratio=int(rng.choice([2, 4])),
         classes=int(rng.choice([2, 4, 10])),
         groups=int(rng.choice([4, 8, 16, 32])),
-        mlp_ratio=int(rng.choice([1, 2, 4])),
     )
 
 
@@ -241,32 +238,46 @@ class TestFlopsOracle:
             count_flops(DESK, res)
 
 
+def dense_oracle_case(seed: int) -> tuple[ModelConfig, int, int]:
+    """Every (aggregator, comm) pair three times over seeds 0-47, on
+    non-square grids that mostly need padding. MSG window grids are 1 or 2
+    windows a side, or twice that, so they exchange over 1x1 and 2x2 regions
+    (width 36 is divisible by 2*2 at every stage)."""
+    rng = np.random.default_rng(seed)
+    comm = ("Shift", "Shuffle", "MSG", "None")[seed // 4 % 4]
+    region = int(rng.integers(1, 3))
+    ws = int(rng.choice([2, 3, 4] if comm == "MSG" else [2, 3, 4, 7]))
+    cfg = ModelConfig(
+        width=36,
+        depths=tuple(int(d) for d in rng.integers(1, 4, size=4)),
+        window=ws,
+        aggregator=("Linear", "DWLinear", "MLP", "MHSA")[seed % 4],
+        comm=comm,
+        classes=2,
+        groups=4,
+    )
+    windows = region * rng.integers(1, 3, size=2) if comm == "MSG" \
+        else rng.integers(1, 4, size=2)
+    pads = rng.integers(0, ws, size=2)
+    if windows[0] == windows[1] and pads[0] == pads[1]:
+        pads[1] = (pads[0] + 1) % ws
+    grid_h, grid_w = (int(g) for g in windows * ws - pads)
+    return cfg, grid_h, grid_w
+
+
 class TestConnectivity:
+    def test_dense_oracle_msg_cases_cover_regions_1_and_2(self):
+        regions = set()
+        for seed in range(48):
+            cfg, grid_h, grid_w = dense_oracle_case(seed)
+            if cfg.comm == "MSG":
+                gh, gw = -(-grid_h // cfg.window), -(-grid_w // cfg.window)
+                regions.add(M.choose_messenger_region(gh, gw, cfg.width))
+        assert regions == {1, 2}
+
     @pytest.mark.parametrize("seed", range(48))
     def test_matches_dense_oracle(self, seed):
-        # every (aggregator, comm) pair three times, on non-square grids that
-        # mostly need padding; MSG grids tile into its 1-3 messenger regions
-        # (width 36 is divisible by 2*2 and 3*3, so no region falls back)
-        rng = np.random.default_rng(seed)
-        comm = ("Shift", "Shuffle", "MSG", "None")[seed // 4 % 4]
-        region = int(rng.integers(1, 4))
-        ws = int(rng.choice([2, 3, 4] if comm == "MSG" else [2, 3, 4, 7]))
-        cfg = ModelConfig(
-            width=36,
-            depths=tuple(int(d) for d in rng.integers(1, 4, size=4)),
-            window=ws,
-            aggregator=("Linear", "DWLinear", "MLP", "MHSA")[seed % 4],
-            comm=comm,
-            classes=2,
-            groups=4,
-            messenger_region=region,
-        )
-        windows = region * rng.integers(1, 3, size=2) if comm == "MSG" \
-            else rng.integers(1, 4, size=2)
-        pads = rng.integers(0, ws, size=2)
-        if windows[0] == windows[1] and pads[0] == pads[1]:
-            pads[1] = (pads[0] + 1) % ws
-        grid_h, grid_w = (int(g) for g in windows * ws - pads)
+        cfg, grid_h, grid_w = dense_oracle_case(seed)
         rep = connectivity(cfg, grid_h, grid_w)
         layers, first_full = dense_connectivity(cfg, grid_h, grid_w)
         assert rep.first_full == first_full, (cfg, grid_h, grid_w)
@@ -340,17 +351,19 @@ class TestConnectivity:
     @given(st.sampled_from(("Linear", "DWLinear", "MLP", "MHSA")),
            st.sampled_from(("Shift", "Shuffle", "MSG", "None")),
            st.integers(2, 3), st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
-           st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
-           st.integers(0, 2 ** 32 - 1))
+           st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 32 - 1))
+    # MSG on a 2x2 window grid of width 4 (region 2), and on 2x3 (region 1)
+    @example("Linear", "MSG", 2, 2, 2, 3, 3, 4, 0)
+    @example("MHSA", "MSG", 3, 1, 3, 3, 4, 7, 1)
     def test_padded_grids_match_numeric_probe(self, agg, comm, ws, gs, groups, depth,
-                                              region, grid_h, grid_w, seed):
+                                              grid_h, grid_w, seed):
         # generic weights and nonzero biases, so no path cancels by accident,
         # at std 0.5 so no softmax saturates; a norm over 1 or 2 channels
         # erases a small bump, so 3 or more
         assume(gs * groups >= 3)
         cfg = ModelConfig(width=gs * groups, depths=(depth, 1, 1, 1), window=ws,
                           aggregator=agg, comm=comm, classes=2, groups=groups,
-                          heads_divisor=2, messenger_region=region)
+                          heads_divisor=2)
         rng = np.random.default_rng(seed)
         m = build_model(cfg, seed=0, dtype=np.float64)
         m = m.replace_params({k: Tensor(0.5 * rng.standard_normal(t.shape))

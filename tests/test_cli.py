@@ -151,6 +151,18 @@ def test_retired_layout_faithful_true_exits_1(capsys, tmp_path):
     assert err.startswith("error: ") and "old.wmix" in err and "'layout_faithful'" in err
 
 
+def test_retired_config_field_at_other_value_exits_1(capsys, tmp_path):
+    cfg = preset("toy-desk").to_dict() | {"ffn_ratio": 2}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    for cmd in (["describe"], ["count"], ["flops", "--res", "16"]):
+        code, out, err = run_cli(capsys, *cmd, str(tmp_path / "cfg.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: retired config field 'ffn_ratio' must be 4, got int 2")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg | {"ffn_ratio": 4}))
+    code, out, _ = run_cli(capsys, "describe", str(tmp_path / "cfg.json"))
+    assert code == 0 and json.loads(out)["config"] == preset("toy-desk").to_dict()
+
+
 class TestTrainEvalBench:
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
@@ -270,6 +282,34 @@ class TestTrainEvalBench:
                                  "--data", str(tmp_path / "data.json"))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "'n_train' must be int" in err
+
+    @pytest.mark.parametrize("value", [2.0, -0.5, float("nan")])
+    def test_hp_target_accuracy_outside_unit_interval_exits_1(self, capsys, artifacts,
+                                                              tmp_path, value):
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"steps": 2, "target_accuracy": value}))
+        code, out, err = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),
+                                 "--hp", str(hp), "--data", str(artifacts / "data.json"),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: target_accuracy must be finite and lie in [0, 1]")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"noise": float("nan")}, "noise must be finite and >= 0"),
+        ({"noise": -1}, "noise must be finite and >= 0"),
+        ({"mode": "quadrant-parity", "classes": 2, "size": 15},
+         "quadrant-parity mode needs an even size"),
+        ({"base_freq": 3}, "retired dataset spec field 'base_freq' must be 2.0, got int 3")])
+    def test_bad_data_spec_exits_1(self, capsys, artifacts, tmp_path, spec, message):
+        (tmp_path / "data.json").write_text(json.dumps({"n_train": 16, "n_val": 8} | spec))
+        code, out, err = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),
+                                 "--hp", str(artifacts / "hp.json"),
+                                 "--data", str(tmp_path / "data.json"),
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("defect", ["truncated header", "trailing bytes",
                                         "training label 5"])

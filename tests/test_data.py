@@ -4,6 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from winmix import data
 from winmix.data import (
     DatasetSpec,
     dataset_from_wdat,
@@ -36,10 +37,11 @@ class TestGeneration:
         flat_v = ds.val_images.reshape(32, -1)
         assert not any((flat_t == v).all(axis=1).any() for v in flat_v)
 
-    def test_zero_noise_zero_jitter_collapses_within_class(self):
-        spec = DatasetSpec(n_train=16, n_val=8, noise=0.0, phase_jitter=0.0,
-                          orient_jitter=0.0, amp_min=0.4, amp_max=0.4)
-        ds = gen_dataset(spec)
+    def test_zero_noise_zero_jitter_collapses_within_class(self, monkeypatch):
+        for name, value in [("PHASE_JITTER", 0.0), ("ORIENT_JITTER", 0.0),
+                            ("AMP_MIN", 0.4), ("AMP_MAX", 0.4)]:
+            monkeypatch.setattr(data, name, value)
+        ds = gen_dataset(DatasetSpec(n_train=16, n_val=8, noise=0.0))
         for c in range(4):
             imgs = ds.train_images[ds.train_labels == c]
             np.testing.assert_array_equal(imgs, np.broadcast_to(imgs[0], imgs.shape))
@@ -126,6 +128,41 @@ class TestGeneration:
         assert spec.height is None
         assert gen_dataset(dataclasses.replace(spec, n_train=4, n_val=4)
                            ).train_images.shape == (4, 32, 32, 3)
+
+    # the grating fields a spec had before they became constants, at the one
+    # value every earlier spec file could hold
+    RETIRED_SPEC_FIELDS = {"phase_jitter": 2.0, "orient_jitter": 0.08, "amp_min": 0.3,
+                           "amp_max": 0.45, "base_freq": 2.0, "freq_step": 1.5}
+
+    def test_old_spec_with_every_retired_field_loads(self):
+        spec = DatasetSpec(seed=3, mode="quadrant-parity", classes=2, size=16)
+        assert DatasetSpec.from_dict(spec.to_dict() | self.RETIRED_SPEC_FIELDS) == spec
+        assert DatasetSpec.from_dict({"base_freq": 2}) == DatasetSpec()  # a JSON int fits
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_SPEC_FIELDS))
+    def test_retired_field_loads_at_old_value_only(self, key):
+        old = self.RETIRED_SPEC_FIELDS[key]
+        assert DatasetSpec.from_dict({key: old, "seed": 4}) == DatasetSpec(seed=4)
+        for bad in (old + 1.0, -old, str(old), True, None, [old], float("nan"),
+                    float("inf")):
+            with pytest.raises(ValueError, match=f"retired dataset spec field '{key}' "
+                                                 f"must be {old}"):
+                DatasetSpec.from_dict({key: bad})
+
+    @pytest.mark.parametrize("noise", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            DatasetSpec(noise=noise)
+        with pytest.raises(ValueError, match="noise must be finite and >= 0"):
+            DatasetSpec.from_dict({"noise": noise})
+
+    @pytest.mark.parametrize("size", [15, 33])
+    def test_quadrant_parity_odd_size_rejected(self, size):
+        with pytest.raises(ValueError, match="quadrant-parity mode needs an even size"):
+            DatasetSpec(mode="quadrant-parity", classes=2, size=size)
+        # the other modes take odd sizes
+        assert gen_dataset(DatasetSpec(size=size, n_train=4, n_val=4)
+                           ).train_images.shape == (4, size, size, 3)
 
 
     # sha256 over the train/val images and labels of each spec; a change to

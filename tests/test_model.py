@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from winmix import model as M
 from winmix import tensor as T
 from winmix.analytics import count_params
-from winmix.model import ConfigError, ModelConfig, build_model, forward, preset
+from winmix.model import PRESETS, ConfigError, ModelConfig, build_model, forward, preset
 from winmix.tensor import Tensor
 
 
@@ -96,6 +97,29 @@ class TestConfigValidation:
                 ModelConfig.from_dict(cfg.to_dict() | {"layout_faithful": value})
         with pytest.raises(ConfigError, match="must be a JSON object"):
             ModelConfig.from_dict([("layout_faithful", True)])
+
+    # config fields retired for being fixed by the architecture, at the one
+    # value every earlier file could hold
+    RETIRED_FIELDS = {"layout_faithful": False, "ffn_ratio": 4, "mlp_ratio": 4,
+                      "messenger_count": 1, "messenger_region": 2}
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_FIELDS))
+    def test_retired_field_loads_at_old_value_only(self, key):
+        cfg, old = preset("msg-linmapper-tiny"), self.RETIRED_FIELDS[key]
+        assert ModelConfig.from_dict(cfg.to_dict() | {key: old}) == cfg
+        wrong = [not old] if key == "layout_faithful" else [old + 1, old - 1, float(old), True]
+        for bad in [*wrong, str(old), None, [old]]:
+            with pytest.raises(ConfigError, match=f"retired config field '{key}' must be "
+                                                  f"{json.dumps(old)}, got"):
+                ModelConfig.from_dict(cfg.to_dict() | {key: bad})
+
+    def test_old_config_with_every_retired_field_loads(self):
+        for name, cfg in PRESETS.items():
+            assert ModelConfig.from_dict(cfg.to_dict() | self.RETIRED_FIELDS) == cfg, name
+        with pytest.raises(ConfigError, match="'messenger_count' must be 1, got bool True"):
+            ModelConfig.from_dict(preset("toy-desk").to_dict() | {"messenger_count": True})
+        with pytest.raises(ConfigError, match="'ffn_ratio' must be 4, got float 4.0"):
+            ModelConfig.from_dict(preset("toy-desk").to_dict() | {"ffn_ratio": 4.0})
 
 
 class TestBuild:

@@ -64,6 +64,16 @@ class TestSchedule:
         with pytest.raises(ValueError, match=key):
             Hyperparams.from_dict(json.loads(json.dumps({key: value})))
 
+    @pytest.mark.parametrize("value", [2.0, 1.0001, -0.1, math.nan, math.inf])
+    def test_target_accuracy_outside_unit_interval_rejected(self, value):
+        # an accuracy can never reach these, so early stopping would never fire
+        with pytest.raises(ValueError, match="target_accuracy must be finite"):
+            Hyperparams(target_accuracy=value)
+        with pytest.raises(ValueError, match="target_accuracy must be finite"):
+            Hyperparams.from_dict(json.loads(json.dumps({"target_accuracy": value})))
+        assert Hyperparams(target_accuracy=0).target_accuracy == 0
+        assert Hyperparams(target_accuracy=1.0).target_accuracy == 1.0
+
     def test_from_dict_names_unknown_keys(self):
         assert Hyperparams.from_dict({"steps": 2}) == Hyperparams(steps=2)
         with pytest.raises(ValueError, match=r"\['bogus'\]"):
@@ -242,6 +252,27 @@ class TestCheckpointResume:
         train(CFG, small_data, Hyperparams(steps=4, eval_every=2), seed=1,
               out_dir=tmp_path, checkpoint_every=every)
         assert steps == saved
+
+    def test_resume_from_file_with_retired_config_fields(self, small_data, tmp_path):
+        # earlier files spell out all twelve config fields, the four now
+        # fixed ones at their one value; they load and resume bit-exactly
+        cfg = dataclasses.replace(CFG, comm="MSG", depths=(2, 1, 1, 1))
+        hp = Hyperparams(steps=8, eval_every=4)
+        full = train(cfg, small_data, hp, seed=5)
+        save_state(tmp_path / "half.wmix", train(cfg, small_data, hp, seed=5, until=4))
+        blob, tensors = load_checkpoint(tmp_path / "half.wmix")
+        blob["model"] |= {"ffn_ratio": 4, "mlp_ratio": 4, "messenger_count": 1,
+                          "messenger_region": 2}
+        assert len(blob["model"]) == 12
+        save_checkpoint(tmp_path / "old.wmix", blob, tensors)
+        state = load_state(tmp_path / "old.wmix")
+        assert state.model.config == cfg
+        assert load_model(tmp_path / "old.wmix").config == cfg
+        resumed = train(cfg, small_data, hp, seed=5, state=state)
+        assert resumed.step_losses == full.step_losses
+        for k in full.model.params:
+            assert full.model.params[k].numpy().tobytes() == \
+                resumed.model.params[k].numpy().tobytes()
 
     def test_resume_rejects_config_mismatch(self, small_data, tmp_path):
         hp = Hyperparams(steps=4, eval_every=4)
