@@ -23,7 +23,8 @@ A layer's parameters are a plain dict keyed by those names, and its sizes
 are read from shapes: ws from the token count, gs from the axial weight
 width, heads from ``rel_bias``. ``init_param`` is the model's one init rule.
 ``aggregate`` is the one entry point; every kind takes and returns
-token-major windows (B, ws*ws, C), tokens flattened row-major.
+token-major windows (B, ws*ws, C), tokens flattened row-major, and can
+compute its outputs at a product of kept rows and columns only.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "param_shapes",
     "init_param",
     "aggregate",
+    "kept_positions",
     "AGGREGATOR_KINDS",
 ]
 
@@ -107,21 +109,36 @@ def _grouped_linear(v: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _branch(kind: str, p: dict[str, Tensor], axis: str, x5: Tensor) -> Tensor:
-    """The kind's map along one axis of (B, G, gs, ws, ws) windows, in that layout."""
+def _branch(kind: str, p: dict[str, Tensor], axis: str, x5: Tensor,
+            keep: tuple[np.ndarray, np.ndarray] | None) -> Tensor:
+    """The kind's map along one axis of (B, G, gs, ws, ws) windows, in that
+    layout; with ``keep`` = (rows, cols), (B, G, gs, |rows|, |cols|) outputs
+    at those positions only.
+
+    The height branch then maps only the kept columns and the width branch
+    only the kept rows, and the output rows of the last weight and bias are
+    gathered; every input position is still read.
+    """
     b, g, gs, ws, _ = x5.shape
     into, back = _AXIS_PERMS[axis]
-    v = T.reshape(T.transpose(x5, into), (b, g, ws, gs * ws))
+    layer = "2" if kind == "MLP" else ""
+    w, bias = p[f"w{layer}_{axis}"], p[f"b{layer}_{axis}"]
+    if keep is not None:
+        lines, outs = keep[::-1] if axis == "h" else keep
+        x5 = T.index_select(x5, lines, axis=4 if axis == "h" else 3)
+        w_rows = (np.arange(gs)[:, None] * ws + outs).reshape(-1)
+        w, bias = T.index_select(w, w_rows, axis=-2), T.index_select(bias, w_rows, axis=-1)
+    v = T.transpose(x5, into)
+    v = T.reshape(v, v.shape[:3] + (gs * ws,))
     if kind == "MLP":
-        hidden = T.gelu(T.linear(v, p[f"w1_{axis}"], p[f"b1_{axis}"]))
-        v = T.linear(hidden, p[f"w2_{axis}"], p[f"b2_{axis}"])
+        v = T.linear(T.gelu(T.linear(v, p[f"w1_{axis}"], p[f"b1_{axis}"])), w, bias)
     else:
-        affine = _grouped_linear if kind == "DWLinear" else T.linear
-        v = affine(v, p[f"w_{axis}"], p[f"b_{axis}"])
-    return T.transpose(T.reshape(v, (b, g, ws, gs, ws)), back)
+        v = (_grouped_linear if kind == "DWLinear" else T.linear)(v, w, bias)
+    return T.transpose(T.reshape(v, v.shape[:3] + (gs, v.shape[3] // gs)), back)
 
 
-def _axial_forward(x: Tensor, kind: str, p: dict[str, Tensor]) -> Tensor:
+def _axial_forward(x: Tensor, kind: str, p: dict[str, Tensor],
+                   keep: tuple[np.ndarray, np.ndarray] | None) -> Tensor:
     """Grouped axial mixing of token-major windows (Linear, DWLinear, MLP).
 
     The height branch maps (group-channels x heights) per width column, the
@@ -136,7 +153,8 @@ def _axial_forward(x: Tensor, kind: str, p: dict[str, Tensor]) -> Tensor:
         raise ShapeError(f"axial weight width {k} is not a multiple of ws {ws}")
     gs = k // ws
     x5 = T.reshape(T.transpose(x, (0, 2, 1)), (b, _check_groups(c, gs), gs, ws, ws))
-    y = T.reshape(_branch(kind, p, "h", x5) + _branch(kind, p, "w", x5), (b, c, n))
+    y = _branch(kind, p, "h", x5, keep) + _branch(kind, p, "w", x5, keep)
+    y = T.reshape(y, (b, c, y.shape[3] * y.shape[4]))
     return T.linear(T.transpose(y, (0, 2, 1)), p["w_p"], p["b_p"])
 
 
@@ -148,12 +166,19 @@ def relative_position_index(ws: int) -> np.ndarray:
     return rel[0] * (2 * ws - 1) + rel[1]
 
 
-def _window_mhsa_forward(x: Tensor, p: dict[str, Tensor]) -> Tensor:
+def kept_positions(keep: tuple[np.ndarray, np.ndarray], ws: int) -> np.ndarray:
+    """Flat window positions of rows x cols, ``keep`` = (rows, cols), row-major."""
+    return (keep[0][:, None] * ws + keep[1]).reshape(-1)
+
+
+def _window_mhsa_forward(x: Tensor, p: dict[str, Tensor],
+                         keep: tuple[np.ndarray, np.ndarray] | None) -> Tensor:
     """Scaled dot-product attention inside each window.
 
     ``x`` is token-major (B, ws*ws, C); the learned relative position bias is
     added to the logits before softmax; scale is (C/heads)^(-1/2), with heads
-    the leading dimension of ``rel_bias``.
+    the leading dimension of ``rel_bias``. With ``keep``, only the queries at
+    the kept positions run; every token stays a key and a value.
     """
     b, n, c = x.shape
     ws, heads = _window_side(n), p["rel_bias"].shape[0]
@@ -165,19 +190,25 @@ def _window_mhsa_forward(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     scale = dh ** -0.5
 
     def split_heads(t):
-        return T.transpose(T.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(t, (b, t.shape[1], heads, dh)), (0, 2, 1, 3))
 
-    q = split_heads(T.linear(x, p["w_q"], p["b_q"]))
+    index = relative_position_index(ws)
+    queries = x
+    if keep is not None:
+        kept = kept_positions(keep, ws)
+        queries, index = T.index_select(x, kept, axis=1), index[kept]
+    m = queries.shape[1]
+    q = split_heads(T.linear(queries, p["w_q"], p["b_q"]))
     k = split_heads(T.linear(x, p["w_k"], p["b_k"]))
     v = split_heads(T.linear(x, p["w_v"], p["b_v"]))
 
     logits = T.matmul(q * scale, T.transpose(k, (0, 1, 3, 2)))
-    bias = T.index_select(T.transpose(p["rel_bias"], (1, 0)), relative_position_index(ws).reshape(-1))
-    bias = T.transpose(T.reshape(bias, (n, n, heads)), (2, 0, 1))
+    bias = T.index_select(T.transpose(p["rel_bias"], (1, 0)), index.reshape(-1))
+    bias = T.transpose(T.reshape(bias, (m, n, heads)), (2, 0, 1))
     attn = T.softmax_last_axis(logits + bias)
 
     out = T.matmul(attn, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, c))
+    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, m, c))
     return T.linear(out, p["w_o"], p["b_o"])
 
 
@@ -203,17 +234,24 @@ def init_param(leaf: str, shape, rng: np.random.Generator, dtype=np.float32) -> 
     return Tensor(fill(shape, dtype=dtype), requires_grad=True)
 
 
-def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor]) -> Tensor:
+def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor],
+              keep: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Uniform entry point: token-major windows (B, ws*ws, C) in and out.
 
     ``params`` maps exactly the ``param_shapes`` names of ``kind`` to
     tensors; a missing or extra name raises ValueError. ``kind`` comes
     first, as it names the layer for callers that wrap this function.
+
+    ``keep`` = (rows, cols), two integer arrays of window positions, limits
+    the output to the tokens at rows x cols: (B, |rows|*|cols|, C), row-major
+    in the order given. Every token is still an input, so those outputs equal
+    the matching ones of the full call. The model passes the real tokens of a
+    padded single-window stage, whose padded outputs it would crop.
     """
     names = param_shapes(kind, 1, 1)  # a kind's names do not depend on sizes
     if set(params) != set(names):
         raise ValueError(f"aggregator {kind!r} takes parameters {sorted(names)}, "
                          f"got {sorted(params)}")
     if kind == "MHSA":
-        return _window_mhsa_forward(windows, params)
-    return _axial_forward(windows, kind, params)
+        return _window_mhsa_forward(windows, params, keep)
+    return _axial_forward(windows, kind, params, keep)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry as geo
 from . import tensor as T
 from .aggregators import MLP_RATIO
 from .model import (
@@ -36,6 +35,7 @@ from .model import (
     ModelConfig,
     choose_messenger_region,
     comm_active,
+    comm_permutation,
     forward,
     stage_channels,
     stage_groups,
@@ -122,18 +122,22 @@ def _agg_param_count(cfg: ModelConfig, stage: int) -> int:
     return 2 * (2 * MLP_RATIO * k * k + MLP_RATIO * k + k) + c * c + c
 
 
-def _agg_flops_per_window(cfg: ModelConfig, stage: int) -> int:
+def _agg_flops_per_window(cfg: ModelConfig, stage: int, rows: int, cols: int) -> int:
+    """MACs of one window's aggregator with outputs at rows x cols of its
+    positions; every ws x ws position is an input."""
     c = stage_channels(cfg, stage)
     ws = cfg.window
-    n = ws * ws
+    n, m = ws * ws, rows * cols
     if cfg.aggregator == "MHSA":
-        return 4 * c * c * n + 2 * n * n * c
+        return 2 * c * c * (m + n) + 2 * m * n * c
     groups, gs = stage_groups(cfg, stage)
     k = gs * ws
-    axial = 2 * groups * ws * k * k
+    # the height map runs once per kept column to gs*rows outputs, the width
+    # map once per kept row to gs*cols; MLP's hidden layer keeps its full width
+    axial = 2 * k * gs * m
     if cfg.aggregator == "MLP":
-        axial = 2 * groups * ws * 2 * MLP_RATIO * k * k
-    return axial + c * c * n
+        axial = MLP_RATIO * k * ((rows + cols) * k + 2 * gs * m)
+    return groups * axial + c * c * m
 
 
 def _ceil_to(x: int, m: int) -> int:
@@ -147,6 +151,9 @@ def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
     The grid bookkeeping mirrors the forward pass exactly: the stem pads the
     image to a multiple of 4, blocks pad to the window size for ``.agg`` and
     ``.msg`` and crop before ``.ffn``, and patch merging pads to even extents.
+    ``.agg`` reads padded positions as inputs everywhere but computes padded
+    outputs only in multi-window stages: a stage padded to one window
+    computes its h x w real tokens alone.
     """
     ws = cfg.window
     h = _ceil_to(resolution[0], 4) // 4
@@ -161,7 +168,8 @@ def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
             yield CostRow(f"stage{s}.msg_init", c, 0)
         windows = _ceil_to(h, ws) * _ceil_to(w, ws) // (ws * ws)
-        agg = (_agg_param_count(cfg, s), windows * _agg_flops_per_window(cfg, s))
+        rows, cols = (h, w) if windows == 1 else (ws, ws)
+        agg = (_agg_param_count(cfg, s), windows * _agg_flops_per_window(cfg, s, rows, cols))
         ffn = (2 * FFN_RATIO * c * c + (FFN_RATIO + 1) * c, 2 * FFN_RATIO * c * c * h * w)
         for i in range(cfg.depths[s]):
             prefix = f"stage{s}.block{i}"
@@ -248,16 +256,6 @@ class ConnectivityReport:
         }
 
 
-def _perm_from_featuremap_op(hp: int, wp: int, op) -> np.ndarray:
-    """Trace an index grid through a geometry op to get its permutation.
-
-    Returns ``perm`` with perm[p] = source position of the token now at p.
-    """
-    idx = np.arange(hp * wp, dtype=np.float64).reshape(1, hp, wp, 1)
-    moved = op(geo.FeatureMap(Tensor(idx, dtype=np.float64)))
-    return moved.values.data.reshape(-1).astype(np.int64)
-
-
 def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityReport:
     """Propagate boolean token influence through every block at a fixed grid.
 
@@ -294,12 +292,7 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     r = np.zeros((n, m), dtype=bool)
     r[real, np.arange(m)] = True
 
-    perm = None
-    if cfg.comm == "Shift":
-        perm = _perm_from_featuremap_op(
-            hp, wp, lambda f: geo.cyclic_shift(f, -(ws // 2), -(ws // 2)))
-    elif cfg.comm == "Shuffle":
-        perm = _perm_from_featuremap_op(hp, wp, lambda f: geo.spatial_shuffle(f, ws))
+    perm = comm_permutation(cfg.comm, hp, wp, ws) if cfg.comm in ("Shift", "Shuffle") else None
     inv = None if perm is None else np.argsort(perm)
 
     report = ConnectivityReport(grid=(grid_h, grid_w))

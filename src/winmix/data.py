@@ -56,8 +56,9 @@ class DatasetSpec:
 
     The gratings' jitter, amplitude and frequencies are the module constants
     above; ``from_dict`` reads old files that name them as fields, at those
-    values only. A negative or non-finite ``noise``, or an odd ``size`` in
-    quadrant-parity mode, raises ValueError naming the field.
+    values only. A count, ``size`` or ``height`` below 1, a negative or
+    non-finite ``noise``, or an odd ``size`` in quadrant-parity mode, raises
+    ValueError naming the field.
     """
 
     seed: int = 0
@@ -70,6 +71,10 @@ class DatasetSpec:
     height: int | None = None  # image rows; None means square (size x size)
 
     def __post_init__(self):
+        for name in ("n_train", "n_val", "size", "height"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.noise < np.inf:
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         if self.mode == "quadrant-parity" and self.size % 2:

@@ -4,7 +4,8 @@ Everything here is a pure permutation of token-grid values (plus zero
 padding): window partition and its inverse, bottom/right zero padding,
 cyclic shifts, the strided spatial shuffle, and the messenger exchange.
 None of these ops carries parameters or multiply FLOPs, and every one is
-exactly invertible.
+exactly invertible; ``trace_permutation`` reads a token permutation as an
+index array.
 
 Feature maps are (batch, height, width, channels) tensors. Windows are a
 plain (batch*H/ws*W/ws, ws*ws, channels) tensor, windows enumerated
@@ -18,6 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
@@ -31,6 +35,7 @@ __all__ = [
     "spatial_shuffle",
     "spatial_unshuffle",
     "messenger_exchange",
+    "trace_permutation",
 ]
 
 
@@ -163,3 +168,14 @@ def messenger_exchange(tokens: Tensor, win_h: int, win_w: int, region: int) -> T
     t = T.reshape(t, (b, rh, rw, r, r, m, c))
     t = T.transpose(t, (0, 1, 3, 2, 4, 5, 6))
     return T.reshape(t, (n, m, c))
+
+
+def trace_permutation(hp: int, wp: int, op: Callable[[FeatureMap], FeatureMap]) -> np.ndarray:
+    """Trace an index grid through a token permutation of an hp x wp map.
+
+    Returns ``perm`` with perm[p] = flat source position of the token that
+    ``op`` moves to flat position p.
+    """
+    idx = np.arange(hp * wp, dtype=np.float64).reshape(1, hp, wp, 1)
+    moved = op(FeatureMap(Tensor(idx, dtype=np.float64)))
+    return moved.values.data.reshape(-1).astype(np.int64)

@@ -328,17 +328,20 @@ def roll(a: Tensor, shifts: tuple[int, ...], axes: tuple[int, ...]) -> Tensor:
     return _make(np.roll(a.data, shifts, axis=axes), (a,), back, "roll")
 
 
-def index_select(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows ``a[indices]`` along the first axis (integer index array)."""
+def index_select(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
+    """Gather ``a.take(indices, axis)``: the entries at the integer ``indices``
+    along ``axis``, which is replaced by the axes of ``indices``."""
     indices = np.asarray(indices)
+    out = a.data.take(indices, axis=axis)  # numpy rejects a bad axis or index here
     shape = a.shape
+    where = (slice(None),) * (axis % a.ndim) + (indices,)
 
     def back(g):
         full = np.zeros(shape, dtype=g.dtype)
-        np.add.at(full, indices.reshape(-1), g.reshape((-1,) + shape[1:]))
+        np.add.at(full, where, g)  # a repeated index sums its gradients
         return (full,)
 
-    return _make(a.data[indices], (a,), back, "index_select")
+    return _make(out, (a,), back, "index_select")
 
 
 def broadcast_to(a: Tensor, shape: tuple[int, ...]) -> Tensor:

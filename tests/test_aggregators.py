@@ -353,6 +353,36 @@ class TestAggregateEntry:
         with pytest.raises(ValueError, match="extra"):
             A.aggregate(kind, x, p | {"extra": p["rel_bias" if kind == "MHSA" else "w_p"]})
 
+    @pytest.mark.parametrize("kind", A.AGGREGATOR_KINDS)
+    @pytest.mark.parametrize("rows, cols", [([2], [2]), ([2, 3, 0], [1, 3]),
+                                            ([0, 1, 2, 3], [3, 0, 1])])
+    def test_kept_outputs_equal_the_full_call(self, kind, rows, cols):
+        # every token is still an input, so the kept outputs are the full
+        # call's outputs at rows x cols, row-major in the given order; so are
+        # the gradients they send back, to the inputs and to the parameters
+        rng = np.random.default_rng(40)
+        p = {n: Tensor(t.numpy().astype(np.float64) + rng.standard_normal(t.shape),
+                       requires_grad=True)
+             for n, t in agg_params(kind, 8, 4, gs=2, heads=2).items()}
+        x = Tensor(rng.standard_normal((3, 16, 8)), requires_grad=True)
+        rows, cols = np.array(rows), np.array(cols)
+        flat = (rows[:, None] * 4 + cols).reshape(-1)
+        probe = Tensor(rng.standard_normal((3, flat.size, 8)))
+
+        def run(out):
+            for t in [x, *p.values()]:
+                t.grad = None
+            T.backward(T.tsum(out * probe))
+            return out.numpy(), x.grad, {n: t.grad for n, t in p.items()}
+
+        got = run(A.aggregate(kind, x, p, (rows, cols)))
+        want = run(T.index_select(A.aggregate(kind, x, p), flat, axis=1))
+        np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        for name in p:
+            np.testing.assert_allclose(got[2][name], want[2][name], rtol=0, atol=1e-11,
+                                       err_msg=name)
+
 
 class TestInferredSizes:
     # ws, gs and heads are read from the shapes of the windows and weights;

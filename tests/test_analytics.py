@@ -55,9 +55,9 @@ def dense_connectivity(cfg: ModelConfig, grid_h: int, grid_w: int):
 
     shift = ws // 2
     perms = {
-        "Shift": AN._perm_from_featuremap_op(
+        "Shift": geo.trace_permutation(
             hp, wp, lambda f: geo.cyclic_shift(f, -shift, -shift)),
-        "Shuffle": AN._perm_from_featuremap_op(
+        "Shuffle": geo.trace_permutation(
             hp, wp, lambda f: geo.spatial_shuffle(f, ws)),
     }
     layers, first_full, block_no = [], None, 0
@@ -204,6 +204,28 @@ class TestFlopsOracle:
         cfg = dataclasses.replace(TINY8, aggregator=agg, comm=comm, depths=(2, 1, 1, 1))
         res = (30, 44)  # forces stem and window padding
         assert flops_oracle(cfg, res) == count_flops(cfg, res).total_flops
+
+    @pytest.mark.parametrize("agg", ["Linear", "DWLinear", "MLP", "MHSA"])
+    @pytest.mark.parametrize("comm", ["Shift", "Shuffle", "MSG", "None"])
+    def test_oracle_on_single_window_stages(self, agg, comm):
+        # stage grids that pad to one window compute .agg at their real
+        # tokens only: 32 px gives 2x2 and 1x1, 36x28 3x2 and 2x1, 20x44 2x3
+        # and 1x2, 12 px a 3x3 stage 0, 4x28 a 1x4 stage 1
+        cfg = dataclasses.replace(DESK, aggregator=agg, comm=comm)
+        for res in (32, (36, 28), (20, 44), 12, (4, 28)):
+            assert flops_oracle(cfg, res) == count_flops(cfg, res).total_flops, res
+
+    @pytest.mark.parametrize("agg, total", [("Linear", 909_824), ("DWLinear", 909_824),
+                                            ("MLP", 1_163_776), ("MHSA", 1_888_768)])
+    def test_desk_totals_at_32(self, agg, total):
+        assert count_flops(dataclasses.replace(DESK, aggregator=agg), 32).total_flops == total
+
+    def test_single_window_agg_hand_count(self):
+        # toy-desk stage 3 at 32 px: C=128, one real token of a 4x4 window,
+        # groups 32 of gs 4 (k = 16). Each axial map runs once, to gs
+        # outputs: 2 * 32 * 16 * 4; w_p once: 128^2
+        row = {r.path: r.flops for r in count_flops(DESK, 32).rows}
+        assert row["stage3.block0.agg"] == 2 * 32 * 16 * 4 + 128 * 128
 
     @pytest.mark.parametrize("agg", ["Linear", "DWLinear", "MLP", "MHSA"])
     def test_oracle_draws_no_weights(self, agg, monkeypatch):

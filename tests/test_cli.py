@@ -300,7 +300,13 @@ class TestTrainEvalBench:
         ({"noise": -1}, "noise must be finite and >= 0"),
         ({"mode": "quadrant-parity", "classes": 2, "size": 15},
          "quadrant-parity mode needs an even size"),
-        ({"base_freq": 3}, "retired dataset spec field 'base_freq' must be 2.0, got int 3")])
+        ({"base_freq": 3}, "retired dataset spec field 'base_freq' must be 2.0, got int 3"),
+        ({"n_train": 0}, "n_train must be >= 1, got 0"),
+        ({"n_train": -4}, "n_train must be >= 1, got -4"),
+        ({"n_val": 0}, "n_val must be >= 1, got 0"),
+        ({"size": 0}, "size must be >= 1, got 0"),
+        ({"size": -8}, "size must be >= 1, got -8"),
+        ({"mode": "seam-phase", "classes": 2, "height": 0}, "height must be >= 1, got 0")])
     def test_bad_data_spec_exits_1(self, capsys, artifacts, tmp_path, spec, message):
         (tmp_path / "data.json").write_text(json.dumps({"n_train": 16, "n_val": 8} | spec))
         code, out, err = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),

@@ -303,12 +303,16 @@ class TestBlocksAndForward:
 
     @pytest.mark.parametrize("agg", ["Linear", "DWLinear", "MLP", "MHSA"])
     @pytest.mark.parametrize("comm", ["Shift", "Shuffle", "MSG", "None"])
-    @pytest.mark.parametrize("hw", [(5, 7), (6, 10)])
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 10), (1, 1), (2, 2), (3, 2), (4, 3), (3, 3)])
     def test_cropped_ffn_matches_windowed_ffn(self, agg, comm, hw):
         # norm2 and the FFN act per token, so running them on the cropped
         # map instead of the padded windows changes no real-token output and
         # no gradient; 5x7 pads to a 2x2 window grid (MSG region 2), 6x10 to
         # a 2x3 one (region 1). Random biases make the padded tokens nonzero.
+        # The grids from 1x1 to 4x3 pad to one window, where the block
+        # computes the aggregator only at the real tokens; padded tokens stay
+        # inputs, so that too changes nothing (3x3 under Shift sits at window
+        # rows and columns {2, 3, 0}).
         from oracles import block_forward_windowed_ffn
         from winmix.geometry import FeatureMap
 

@@ -429,6 +429,13 @@ OPS = [
                                    T.roll(T.pad_hw(x, 0, 3), (3,), (2,)))))),
     ("index_select", lambda rng: (rng.standard_normal((5, 3)),),
      lambda x: T.tsum(T.gelu(T.index_select(x, np.array([0, 2, 2, 4]))))),
+    ("index_select_axis", lambda rng: (rng.standard_normal((2, 5, 3)),),
+     lambda x: T.tsum(T.gelu(T.index_select(x, np.array([[4, 1], [1, 3]]), axis=1)))),
+    ("index_select_last_axis", lambda rng: (rng.standard_normal((2, 3, 4)),),
+     lambda x: T.tsum(T.gelu(T.index_select(x, np.array([3, 0, 1]), axis=-1)))),
+    # -1 names the same entry as 3, so both gradients land on it
+    ("index_select_negative", lambda rng: (rng.standard_normal((2, 4)),),
+     lambda x: T.tsum(T.gelu(T.index_select(x, np.array([3, 0, -1]), axis=1)))),
     ("mean_broadcast", lambda rng: (rng.standard_normal((3, 4)),),
      lambda x: T.tsum(T.mul(T.broadcast_to(T.tmean(x, axis=1, keepdims=True), (3, 4)), x))),
     ("pad_crop", lambda rng: (rng.standard_normal((1, 3, 3, 2)),),
