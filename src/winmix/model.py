@@ -187,9 +187,6 @@ class Model:
     def param_count(self) -> int:
         return sum(t.size for t in self.params.values())
 
-    def replace_params(self, params: dict[str, Tensor]) -> "Model":
-        return Model(config=self.config, params=params, dtype=self.dtype)
-
 
 def table_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape of the whole parameter table.
@@ -327,8 +324,10 @@ def _real_positions(comm: str, h: int, w: int, ws: int) -> tuple[np.ndarray, np.
     ws x ws window puts its tokens at, after ``comm``; in crop order.
 
     The comm permutes each axis on its own, so the positions are the product
-    rows x cols. Cached, as tracing costs 17-44 us a call on a 2-core x86 VM
-    (about 2% of a batch-1 toy-desk forward at 32 px); the arrays are read-only.
+    rows x cols. A permutation moves each token to its own position, so rows
+    and cols are each distinct, in [0, ws), as ``aggregate``'s ``keep`` needs.
+    Cached, as tracing costs 17-44 us a call on a 2-core x86 VM (about 2% of
+    a batch-1 toy-desk forward at 32 px); the arrays are read-only.
     """
     where = np.argsort(comm_permutation(comm, ws, ws, ws)).reshape(ws, ws)[:h, :w]
     rows, cols = where[:, 0] // ws, where[0] % ws
@@ -366,7 +365,7 @@ def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
     if fm.height == fm.width == ws and (x.height, x.width) != (ws, ws):
         # one padded window: compute only the real tokens, straight in crop order
         keep = _real_positions(comm, x.height, x.width, ws)
-        v = (T.index_select(win, agg.kept_positions(keep, ws), axis=1)
+        v = (T.index_select(win, agg.kept_positions(keep, ws), axis=1, unique=True)
              + agg.aggregate(cfg.aggregator, normed, params, keep))
         v = T.reshape(v, x.values.shape)
     else:

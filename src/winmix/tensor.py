@@ -117,7 +117,9 @@ def _record_macs(n: int) -> None:
 
 
 class Tensor:
-    """Immutable dense array plus optional autodiff bookkeeping."""
+    """Dense array plus optional autodiff bookkeeping. No op writes into an
+    operand; only the optimizer updates a leaf's array, in place, between
+    training steps."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
@@ -328,9 +330,16 @@ def roll(a: Tensor, shifts: tuple[int, ...], axes: tuple[int, ...]) -> Tensor:
     return _make(np.roll(a.data, shifts, axis=axes), (a,), back, "roll")
 
 
-def index_select(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
+def index_select(a: Tensor, indices: np.ndarray, axis: int = 0, unique: bool = False) -> Tensor:
     """Gather ``a.take(indices, axis)``: the entries at the integer ``indices``
-    along ``axis``, which is replaced by the axes of ``indices``."""
+    along ``axis``, which is replaced by the axes of ``indices``.
+
+    Backward sums the gradients of a repeated index, and of a negative index
+    and the positive one it aliases, with ``np.add.at``. A caller whose
+    indices are distinct and non-negative by construction passes
+    ``unique=True``, and backward assigns them instead: the same bits, 4-9x
+    faster on the model's gathers (an x86 VM, numpy 2.4).
+    """
     indices = np.asarray(indices)
     out = a.data.take(indices, axis=axis)  # numpy rejects a bad axis or index here
     shape = a.shape
@@ -338,7 +347,10 @@ def index_select(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
 
     def back(g):
         full = np.zeros(shape, dtype=g.dtype)
-        np.add.at(full, where, g)  # a repeated index sums its gradients
+        if unique:
+            full[where] = g + 0.0  # 0 + g, as add.at sums it: -0.0 becomes +0.0
+        else:
+            np.add.at(full, where, g)
         return (full,)
 
     return _make(out, (a,), back, "index_select")

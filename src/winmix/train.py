@@ -3,9 +3,14 @@ label-smoothed cross-entropy, deterministic batching, and bit-exact
 checkpoint/resume.
 
 The loop is a pure function of (config, data, hyperparams, seed): batches are
-drawn from a dedicated PCG64 stream whose state is checkpointed, parameter
-updates replace the table atomically between steps, and metric history is
-recorded as plain floats, so identical seeds reproduce identical histories.
+drawn from a dedicated PCG64 stream whose state is checkpointed, and metric
+history is recorded as plain floats, so identical seeds reproduce identical
+histories.
+
+AdamW updates the table in place between steps. Once per ``train`` call the
+parameters and both moments move onto one flat buffer per dtype, and the
+table and the moment dicts hold views into it that persist across steps, so
+a ``Model`` held across a ``train`` call sees the new values.
 """
 
 from __future__ import annotations
@@ -121,22 +126,66 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float)
     return T.tmean(T.tsum(Tensor(q) * logp, axis=1)) * -1.0
 
 
-def _adamw_step(state: TrainState, grads: dict[str, np.ndarray], lr: float) -> None:
+def _pack(state: TrainState) -> tuple[list[tuple], dict[str, np.ndarray]]:
+    """Move the parameter table and both moments onto flat buffers, one set
+    per dtype, and return the sets and the per-name gradient views.
+
+    Each dtype gets one (6, n) array: parameters, gradients, m, v and two
+    scratch rows. ``state.model.params``, ``state.m`` and ``state.v`` then
+    hold views into it, in their own order, so ``_adamw_step`` updates the
+    table in place. Decaying tensors come first in the buffer, so weight
+    decay covers one prefix of it.
+    """
+    params = state.model.params
+    by_dtype: dict[np.dtype, list[str]] = {}
+    for name in sorted(params, key=lambda k: not _decays(k, params[k])):  # stable
+        by_dtype.setdefault(params[name].data.dtype, []).append(name)
+    sets, grads = [], {}
+    for dtype, names in by_dtype.items():
+        flat = np.zeros((6, sum(params[k].size for k in names)), dtype)
+        off = decay = 0
+        for k in names:
+            shape, end = params[k].shape, off + params[k].size
+            p, grads[k], m, v = (row[off:end].reshape(shape) for row in flat[:4])
+            p[...], m[...], v[...] = params[k].data, state.m[k], state.v[k]
+            params[k], state.m[k], state.v[k] = Tensor(p, requires_grad=True), m, v
+            if _decays(k, params[k]):
+                decay = end
+            off = end
+        sets.append((*flat, decay))
+    return sets, grads
+
+
+def _adamw_step(state: TrainState, sets: list[tuple], lr: float) -> None:
+    """One AdamW update over the flat buffers of ``_pack``, in place.
+
+    Per element, in this order of operations: m = beta1 * m + (1 - beta1) * g,
+    v = beta2 * v + (1 - beta2) * g * g, update = (m / c1) / (sqrt(v / c2) +
+    eps) plus weight_decay * p where p decays, then p - lr * update. Each
+    in-place ufunc rounds as the expression's own step does, so the bits
+    match a per-tensor evaluation of the same formula.
+    """
     hp = state.hp
     t = state.step
     c1 = 1.0 - hp.beta1 ** t
     c2 = 1.0 - hp.beta2 ** t
-    new_params: dict[str, Tensor] = {}
-    for name, p in state.model.params.items():
-        g = grads[name]
-        m = state.m[name] = hp.beta1 * state.m[name] + (1 - hp.beta1) * g
-        v = state.v[name] = hp.beta2 * state.v[name] + (1 - hp.beta2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + hp.eps)
-        if _decays(name, p):
-            update = update + hp.weight_decay * p.data
-        new_params[name] = Tensor((p.data - lr * update).astype(p.data.dtype),
-                                  requires_grad=True)
-    state.model = state.model.replace_params(new_params)
+    for p, g, m, v, tmp, update, decay in sets:
+        m *= hp.beta1
+        np.multiply(g, 1 - hp.beta1, out=tmp)
+        m += tmp
+        v *= hp.beta2
+        np.multiply(g, 1 - hp.beta2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += hp.eps
+        np.divide(m, c1, out=update)
+        update /= tmp
+        np.multiply(p[:decay], hp.weight_decay, out=tmp[:decay])
+        update[:decay] += tmp[:decay]
+        update *= lr
+        p -= update
 
 
 def _check_split(labels: np.ndarray, classes: int, split: str) -> None:
@@ -183,6 +232,11 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
     checkpoint (when out_dir is given). An empty training or validation
     split, or a label outside [0, classes), raises ValueError before the
     first step.
+
+    The table is updated in place: ``state.model.params``, ``state.m`` and
+    ``state.v`` (of the given state, or of a new one) hold views into flat
+    buffers from the first step on, and each step writes the new values
+    into them.
     """
     _check_split(data.train_labels, cfg.classes, "training")
     _check_split(data.val_labels, cfg.classes, "validation")
@@ -213,11 +267,12 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
 
     stop = hp.steps if until is None else min(until, hp.steps)
     saved_step = None
+    sets, grads = _pack(state)
+    params = state.model.params
     while state.step < stop:
         idx = rng.integers(0, n, hp.batch_size)
         xb = Tensor(data.train_images[idx])
         yb = data.train_labels[idx]
-        params = state.model.params
         try:
             logits = forward(state.model, xb)
             loss = smoothed_cross_entropy(logits, yb, hp.label_smoothing)
@@ -228,11 +283,11 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
             if out_path is not None:
                 save_state(out_path, state)
             raise DivergenceError(state.step + 1, str(out_path) if out_path else None)
-        grads = {k: p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for k, p in params.items()}
+        for k, p in params.items():
+            grads[k][...] = 0 if p.grad is None else p.grad
         state.step += 1
         state.step_losses.append(loss.item())
-        _adamw_step(state, grads, lr_at(hp, state.step))
+        _adamw_step(state, sets, lr_at(hp, state.step))
         state.rng_state = rng.bit_generator.state
 
         done = state.step >= hp.steps
@@ -296,9 +351,11 @@ def load_state(path) -> TrainState:
     """Read a ``save_state`` checkpoint back; raises CheckpointError when the
     file holds no training state, a ``train`` key (down to the ``rng_state``
     fields and each eval's numbers) is missing or has the wrong JSON type,
-    its ``hp`` or ``rng_state`` values are invalid, or its moments do not match
-    its parameters in name or shape (the parameters were checked against
-    ``table_shapes``)."""
+    its ``hp`` or ``rng_state`` values are invalid, its table mixes float32
+    and float64 records, or its moments do not match its parameters in name,
+    shape or dtype (the parameters were checked against ``table_shapes``).
+    ``train`` updates one flat buffer per dtype, so it cannot take a mixed
+    table or moments of another dtype."""
     blob, tensors = load_checkpoint(path)
     model = _model_from_checkpoint(path, blob, tensors)
     if "train" not in blob:
@@ -331,11 +388,18 @@ def load_state(path) -> TrainState:
     v = {k[len("opt.v."):]: a for k, a in tensors.items() if k.startswith("opt.v.")}
     if set(m) != set(model.params) or set(v) != set(model.params):
         raise CheckpointError(f"{path}: optimizer moments do not match the parameters")
+    for k, t in model.params.items():
+        if t.dtype != model.dtype:
+            raise CheckpointError(f"{path}: record {k!r} is {t.dtype}, the table's first "
+                                  f"record is {model.dtype}; a trained table has one dtype")
     for kind, moments in (("m", m), ("v", v)):
         for k, a in moments.items():
             if a.shape != model.params[k].shape:
                 raise CheckpointError(f"{path}: optimizer moment 'opt.{kind}.{k}' has shape "
                                       f"{a.shape}, the parameter needs {model.params[k].shape}")
+            if a.dtype != model.dtype:
+                raise CheckpointError(f"{path}: optimizer moment 'opt.{kind}.{k}' is "
+                                      f"{a.dtype}, the parameter is {model.dtype}")
     return TrainState(
         model=model,
         m=m,

@@ -3,10 +3,12 @@
 Everything here is written with plain numpy and explicit loops, deliberately
 avoiding the library's tensor/geometry code paths, so agreement between the
 two routes is meaningful. The exceptions: ``block_forward_windowed_ffn``
-composes the library's own ops in a different order, and ``agg_params``
-draws test parameters by the library's init rule.
+composes the library's own ops in a different order, ``agg_params``
+draws test parameters by the library's init rule, and ``adamw_step_ref``
+updates a library ``TrainState``.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -234,3 +236,27 @@ def block_forward_windowed_ffn(model, x, stage, index, msg=None):
     elif active and cfg.comm == "Shuffle":
         fm = geo.spatial_unshuffle(fm, ws)
     return geo.FeatureMap(T.crop_hw(fm.values, x.height, x.width)), msg
+
+
+def adamw_step_ref(state, grads, lr):
+    """AdamW with decoupled weight decay, one tensor at a time, as training
+    ran it before its flat buffers: each moment and parameter becomes a fresh
+    array, and ``state.model`` a new model over the new table. Weight decay
+    skips 1-D tensors and ``rel_bias``."""
+    from winmix.tensor import Tensor
+
+    hp = state.hp
+    t = state.step
+    c1 = 1.0 - hp.beta1 ** t
+    c2 = 1.0 - hp.beta2 ** t
+    new_params = {}
+    for name, p in state.model.params.items():
+        g = grads[name]
+        m = state.m[name] = hp.beta1 * state.m[name] + (1 - hp.beta1) * g
+        v = state.v[name] = hp.beta2 * state.v[name] + (1 - hp.beta2) * g * g
+        update = (m / c1) / (np.sqrt(v / c2) + hp.eps)
+        if p.ndim >= 2 and not name.endswith("rel_bias"):
+            update = update + hp.weight_decay * p.data
+        new_params[name] = Tensor((p.data - lr * update).astype(p.data.dtype),
+                                  requires_grad=True)
+    state.model = dataclasses.replace(state.model, params=new_params)

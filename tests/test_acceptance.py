@@ -253,7 +253,7 @@ def test_criterion_4_block_gradients():
                 for k, a in arrs.items():
                     leaves[k] = params[k] = Tensor(a, dtype=np.float64,
                                                    requires_grad=True)
-                m2 = model.replace_params(params)
+                m2 = dataclasses.replace(model, params=params)
                 fm = FeatureMap(Tensor(x_np, dtype=np.float64))
                 for i in range(cfg.depths[0]):
                     fm, _ = M.block_forward(m2, fm, 0, i)

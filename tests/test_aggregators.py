@@ -241,6 +241,14 @@ class TestWindowMhsa:
         got = A.aggregate("MHSA", t64(x), p).numpy()
         assert np.abs(got - mhsa_loops(x, p)).max() <= 1e-5
 
+    def test_relative_position_index_is_cached_and_read_only(self):
+        # entry (i, j) names the offset of token i from token j, row-major
+        # on the (2ws-1)^2 table; a window of side 2 spells it out
+        index = A.relative_position_index(2)
+        assert A.relative_position_index(2) is index and not index.flags.writeable
+        np.testing.assert_array_equal(index, [[4, 3, 1, 0], [5, 4, 2, 1],
+                                              [7, 6, 4, 3], [8, 7, 5, 4]])
+
     def test_head_divisibility(self):
         p = agg_params("MHSA", 6, 2, heads=2, seed=0)
         with pytest.raises(ShapeError):

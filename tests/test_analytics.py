@@ -388,8 +388,8 @@ class TestConnectivity:
                           heads_divisor=2)
         rng = np.random.default_rng(seed)
         m = build_model(cfg, seed=0, dtype=np.float64)
-        m = m.replace_params({k: Tensor(0.5 * rng.standard_normal(t.shape))
-                              for k, t in m.params.items()})
+        m = dataclasses.replace(m, params={k: Tensor(0.5 * rng.standard_normal(t.shape))
+                                           for k, t in m.params.items()})
         rep = connectivity(cfg, grid_h, grid_w)
         probed = probe_connectivity(m, grid_h, grid_w, rng)
         for block, (numeric, symbolic) in enumerate(zip(probed, rep.layers)):

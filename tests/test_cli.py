@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -362,7 +363,7 @@ class TestTrainEvalBench:
         save_model(tmp_path / "m.wmix", model)
         # the same file cut after its first four records (the stem)
         head = dict(list(model.params.items())[:4])
-        save_model(tmp_path / "cut.wmix", model.replace_params(head))
+        save_model(tmp_path / "cut.wmix", dataclasses.replace(model, params=head))
         assert (tmp_path / "m.wmix").read_bytes().startswith(
             (tmp_path / "cut.wmix").read_bytes())
         (tmp_path / "data.json").write_text(json.dumps(DatasetSpec(n_val=8).to_dict()))

@@ -257,6 +257,18 @@ class TestPatchMerge:
 
 
 class TestBlocksAndForward:
+    @pytest.mark.parametrize("comm", ["None", "Shift", "Shuffle", "MSG"])
+    @pytest.mark.parametrize("ws", [2, 3, 4, 7])
+    def test_real_positions_are_distinct_window_positions(self, comm, ws):
+        # the single-window gathers assign their gradients, which needs
+        # distinct rows and distinct cols, each in [0, ws)
+        for h in range(1, ws + 1):
+            for w in range(1, ws + 1):
+                rows, cols = M._real_positions(comm, h, w, ws)
+                assert (len(set(rows.tolist())), len(set(cols.tolist()))) == (h, w) \
+                    == (len(rows), len(cols))
+                assert 0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < ws
+
     def test_identity_at_zero(self):
         # zero aggregator/FFN weights and affine-neutral norms make every
         # block the identity; logits depend only on the head

@@ -462,6 +462,36 @@ def test_analytic_gradient_matches_central_differences(name, make, fn, seed):
         assert (np.abs(an - fd) / denom).max() < 1e-4
 
 
+INDEX_CASES = {
+    "unique": lambda n: [n - 1, 0, 2],
+    "unique_2d": lambda n: [[2, 0], [n - 1, 1]],
+    "repeated": lambda n: [1, 1, 3, 1],
+    "repeated_2d": lambda n: [[0, 2], [2, 0]],
+    "aliasing": lambda n: [n - 1, 0, -1],  # -1 and n - 1 name one entry
+}
+
+
+@pytest.mark.parametrize("case", INDEX_CASES)
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+def test_index_select_backward_equals_add_at(case, axis):
+    # bit for bit, signed zeros included: assigning g would keep a -0.0 where
+    # add.at into zeros gives 0.0 + -0.0 = +0.0
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((4, 5, 6)), requires_grad=True)
+    indices = np.array(INDEX_CASES[case](x.shape[axis]))
+    flags = [False, True] if case.startswith("unique") else [False]
+    for unique in flags:
+        out = T.index_select(x, indices, axis=axis, unique=unique)
+        g = rng.standard_normal(out.shape)
+        g.reshape(-1)[::3] = -0.0
+        x.grad = None
+        backward(T.tsum(out * Tensor(g)))
+        want = np.zeros(x.shape)
+        np.add.at(want, (slice(None),) * (axis % 3) + (indices,), g)
+        assert np.signbit(g).any() and not np.signbit(want[want == 0]).any()
+        assert x.grad.tobytes() == want.tobytes(), f"unique={unique}"
+
+
 def test_forward_ops_are_pure():
     rng = np.random.default_rng(9)
     x = t64(rng.standard_normal((4, 4)))

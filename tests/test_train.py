@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from winmix.aggregators import AGGREGATOR_KINDS
 from winmix.analytics import count_params
 from winmix.data import DatasetSpec, gen_dataset
 from winmix.io import CheckpointError, load_checkpoint, save_checkpoint
@@ -15,6 +16,7 @@ from winmix.tensor import Tensor
 from winmix.train import (
     DivergenceError,
     Hyperparams,
+    TrainState,
     evaluate,
     load_state,
     lr_at,
@@ -22,6 +24,8 @@ from winmix.train import (
     smoothed_cross_entropy,
     train,
 )
+
+from oracles import adamw_step_ref
 
 CFG = ModelConfig(width=8, depths=(1, 1, 1, 1), window=2, classes=4, groups=4)
 
@@ -282,6 +286,75 @@ class TestCheckpointResume:
             train(other, small_data, hp, seed=6, state=state)
 
 
+class TestFlatAdamW:
+    # train runs AdamW in place over one flat buffer per dtype; each step
+    # must give the per-tensor reference's table and moments bit for bit
+
+    @staticmethod
+    def _checked_steps(monkeypatch) -> list[int]:
+        """Wrap the flat step so that each call is checked against the
+        reference run from a copy of the same table, moments and gradients;
+        returns the list of checked steps."""
+        tr = importlib.import_module("winmix.train")
+        flat_step, checked = tr._adamw_step, []
+
+        def step(state, *args):
+            params = state.model.params
+            table = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+            ref = dataclasses.replace(state, model=dataclasses.replace(state.model, params=table),
+                                      m={k: a.copy() for k, a in state.m.items()},
+                                      v={k: a.copy() for k, a in state.v.items()})
+            grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad
+                     for k, p in params.items()}
+            adamw_step_ref(ref, grads, args[-1])
+            flat_step(state, *args)
+            for k, p in params.items():
+                for what, got, want in (("param", p.data, ref.model.params[k].data),
+                                        ("m", state.m[k], ref.m[k]), ("v", state.v[k], ref.v[k])):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                        f"step {state.step}: {what} {k}"
+            checked.append(state.step)
+
+        monkeypatch.setattr(tr, "_adamw_step", step)
+        return checked
+
+    @pytest.mark.parametrize("lr", [0.0, 3e-3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+    def test_matches_per_tensor_reference(self, small_data, tmp_path, monkeypatch,
+                                          kind, dtype, lr):
+        cfg = dataclasses.replace(preset("toy-desk"), aggregator=kind)
+        hp = Hyperparams(lr=lr, weight_decay=0.05, steps=30, batch_size=4, eval_every=10)
+        state = None
+        if dtype is np.float64:  # train builds float32 tables; start one by hand
+            model = build_model(cfg, seed=2, dtype=dtype)
+            state = TrainState(model=model, m={}, v={}, step=0, seed=2, hp=hp,
+                               rng_state=np.random.PCG64(3).state)
+            for k, t in model.params.items():
+                state.m[k], state.v[k] = np.zeros_like(t.data), np.zeros_like(t.data)
+        checked = self._checked_steps(monkeypatch)
+        train(cfg, small_data, hp, seed=2, state=state, out_dir=tmp_path, until=20)
+        resumed = load_state(tmp_path / "last_good.wmix")
+        assert resumed.model.dtype == dtype
+        final = train(cfg, small_data, hp, state=resumed)
+        assert checked == list(range(1, 31))
+        assert final.m["head.w"].dtype == dtype
+        if lr == 0.0:
+            start = build_model(cfg, seed=2, dtype=dtype).params
+            assert all(final.model.params[k].data.tobytes() == t.data.tobytes()
+                       for k, t in start.items())
+
+    def test_held_model_sees_the_trained_table(self, small_data, tmp_path):
+        # the table is updated in place, on views that persist across steps
+        hp = Hyperparams(steps=6, eval_every=6)
+        save_state(tmp_path / "half.wmix", train(CFG, small_data, hp, seed=1, until=3))
+        state = load_state(tmp_path / "half.wmix")
+        model, before = state.model, state.model.params["head.w"].data.copy()
+        final = train(CFG, small_data, hp, state=state)
+        assert final.model is model
+        assert not np.array_equal(model.params["head.w"].data, before)
+
+
 @pytest.fixture(scope="module")
 def toy_checkpoint(small_data, tmp_path_factory):
     """A 3-step toy-desk training run and its save_state file."""
@@ -383,6 +456,27 @@ class TestCheckpointFiles:
         with pytest.raises(CheckpointError, match=r"'opt\.v\.stage0\.block0\.agg\.w_h' "
                            r"has shape \(16, 16\), the parameter needs \(4, 4\)"):
             load_state(tmp_path / "swapped.wmix")
+
+    def test_moment_of_another_dtype_names_file_and_record(self, toy_checkpoint, tmp_path):
+        # one flat buffer per dtype cannot hold a float64 moment of a float32
+        # parameter; save_state never writes one
+        blob, tensors = load_checkpoint(toy_checkpoint[1])
+        tensors["opt.v.head.w"] = tensors["opt.v.head.w"].astype(np.float64)
+        save_checkpoint(tmp_path / "wide.wmix", blob, tensors)
+        with pytest.raises(CheckpointError, match=r"wide\.wmix: optimizer moment "
+                           r"'opt\.v\.head\.w' is float64, the parameter is float32"):
+            load_state(tmp_path / "wide.wmix")
+
+    def test_mixed_dtype_table_names_file_and_record(self, toy_checkpoint, tmp_path):
+        # head.b and its moments agree with each other, not with the table
+        blob, tensors = load_checkpoint(toy_checkpoint[1])
+        for name in ("head.b", "opt.m.head.b", "opt.v.head.b"):
+            tensors[name] = tensors[name].astype(np.float64)
+        save_checkpoint(tmp_path / "mixed.wmix", blob, tensors)
+        with pytest.raises(CheckpointError, match=r"mixed\.wmix: record 'head\.b' is float64, "
+                           r"the table's first record is float32"):
+            load_state(tmp_path / "mixed.wmix")
+        assert load_model(tmp_path / "mixed.wmix").params["head.b"].dtype == np.float64
 
     def test_model_file_is_not_a_training_checkpoint(self, toy_checkpoint, tmp_path):
         save_model(tmp_path / "m.wmix", toy_checkpoint[0].model)
