@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+MASK_BUDGET = 2 ** 29  # bytes of (M, M) masks that one connectivity report may hold
 
 
 @dataclass
@@ -271,6 +272,8 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     N padded tokens and M real ones, never an (N, N) pattern. The 56x56
     stage-0 grid of a 224 px image is feasible; there each (M, M) mask holds
     about 10 MB, so a report for the 32-block tiny presets is about 315 MB.
+    A grid whose masks would exceed ``MASK_BUDGET`` bytes (blocks * M * M)
+    raises ValueError before anything is allocated.
 
     Limit: the grid never shrinks and stage transitions are treated as
     influence-preserving, so the report cannot tell whether a model joins
@@ -281,6 +284,10 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     """
     if grid_h < 1 or grid_w < 1:
         raise ValueError(f"grid must be positive, got {grid_h}x{grid_w}")
+    need = sum(cfg.depths) * (grid_h * grid_w) ** 2
+    if need > MASK_BUDGET:
+        raise ValueError(f"a {grid_h}x{grid_w} grid needs {need:,} bytes of masks, "
+                         f"over the {MASK_BUDGET:,}-byte budget")
     ws = cfg.window
     hp, wp = _ceil_to(grid_h, ws), _ceil_to(grid_w, ws)
     gh, gw = hp // ws, wp // ws

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .model import Model, ModelConfig, build_model, forward
 from .tensor import Tensor
-from .train import smoothed_cross_entropy
+from .train import LABEL_SMOOTHING, smoothed_cross_entropy
 
 __all__ = ["sampled_check", "model_gradcheck"]
 
@@ -23,7 +23,7 @@ def rel_err(a: float, b: float) -> float:
 
 
 def sampled_check(loss_fn, arrays: dict[str, np.ndarray], rng: np.random.Generator,
-                  samples_per_leaf: int = 3, h: float = 1e-4) -> float:
+                  samples_per_leaf: int = 3) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
     ``loss_fn(arrays) -> (loss Tensor, leaves dict)`` must rebuild the graph
@@ -32,6 +32,7 @@ def sampled_check(loss_fn, arrays: dict[str, np.ndarray], rng: np.random.Generat
     """
     if samples_per_leaf < 1:
         raise ValueError(f"samples_per_leaf must be >= 1, got {samples_per_leaf}")
+    h = 1e-4  # central-difference step
     loss, leaves = loss_fn(arrays)
     for t in leaves.values():
         t.grad = None
@@ -55,12 +56,12 @@ def sampled_check(loss_fn, arrays: dict[str, np.ndarray], rng: np.random.Generat
 
 
 def model_gradcheck(cfg: ModelConfig, seed: int = 0, samples_per_leaf: int = 2,
-                    h: float = 1e-4, batch: int = 2, resolution: int | None = None) -> float:
+                    resolution: int | None = None) -> float:
     """End-to-end check of a full model's loss gradients (float64)."""
     res = resolution if resolution is not None else 4 * cfg.window
     rng = np.random.Generator(np.random.PCG64(seed))
-    images = rng.standard_normal((batch, res, res, 3))
-    labels = rng.integers(0, cfg.classes, batch)
+    images = rng.standard_normal((2, res, res, 3))
+    labels = rng.integers(0, cfg.classes, 2)
     template = build_model(cfg, seed=seed, dtype=np.float64)
     arrays = {k: t.data.copy() for k, t in template.params.items()}
 
@@ -69,6 +70,6 @@ def model_gradcheck(cfg: ModelConfig, seed: int = 0, samples_per_leaf: int = 2,
                   for k, a in arrs.items()}
         model = Model(config=cfg, params=params, dtype=np.float64)
         logits = forward(model, Tensor(images, dtype=np.float64))
-        return smoothed_cross_entropy(logits, labels, 0.1), params
+        return smoothed_cross_entropy(logits, labels, LABEL_SMOOTHING), params
 
-    return sampled_check(loss_fn, arrays, rng, samples_per_leaf, h)
+    return sampled_check(loss_fn, arrays, rng, samples_per_leaf)

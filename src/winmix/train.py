@@ -49,6 +49,12 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite loss at step {step}{where}")
 
 
+# Swin's training recipe, which LinMapper keeps: AdamW's moment decays and
+# epsilon, and the label smoothing. Old files may name them, at these values.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LABEL_SMOOTHING = 0.1
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     lr: float = 1e-3
@@ -56,34 +62,29 @@ class Hyperparams:
     warmup_frac: float = 0.05
     steps: int = 2000
     batch_size: int = 32
-    label_smoothing: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     eval_every: int = 100
     target_accuracy: float | None = None  # early-stop threshold on val accuracy
 
     def __post_init__(self):
-        if not (0 <= self.lr < np.inf and 0 <= self.weight_decay < np.inf):
-            raise ValueError("lr and weight_decay must be finite and non-negative")
-        if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ValueError("steps, batch_size and eval_every must be >= 1")
-        if not (0.0 <= self.warmup_frac <= 1.0):
-            raise ValueError("warmup_frac must lie in [0, 1]")
-        if not (0.0 <= self.label_smoothing < 1.0):
-            raise ValueError("label_smoothing must lie in [0, 1)")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1) and eps must be positive")
-        if self.target_accuracy is not None and not 0.0 <= self.target_accuracy <= 1.0:
-            raise ValueError(f"target_accuracy must be finite and lie in [0, 1], "
-                             f"got {self.target_accuracy}")
+        for name, ok, rule in (
+                ("lr", 0 <= self.lr < np.inf, "be finite and >= 0"),
+                ("weight_decay", 0 <= self.weight_decay < np.inf, "be finite and >= 0"),
+                ("warmup_frac", 0 <= self.warmup_frac <= 1, "lie in [0, 1]"),
+                ("steps", self.steps >= 1, "be >= 1"),
+                ("batch_size", self.batch_size >= 1, "be >= 1"),
+                ("eval_every", self.eval_every >= 1, "be >= 1"),
+                ("target_accuracy", self.target_accuracy is None
+                 or 0 <= self.target_accuracy <= 1, "be finite and lie in [0, 1]")):
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "Hyperparams":
-        return dataclass_from_dict(Hyperparams, d, "hyperparameter")
+        return dataclass_from_dict(Hyperparams, d, "hyperparameter", retired={
+            "beta1": BETA1, "beta2": BETA2, "eps": ADAM_EPS, "label_smoothing": LABEL_SMOOTHING})
 
 
 @dataclass
@@ -159,30 +160,29 @@ def _pack(state: TrainState) -> tuple[list[tuple], dict[str, np.ndarray]]:
 def _adamw_step(state: TrainState, sets: list[tuple], lr: float) -> None:
     """One AdamW update over the flat buffers of ``_pack``, in place.
 
-    Per element, in this order of operations: m = beta1 * m + (1 - beta1) * g,
-    v = beta2 * v + (1 - beta2) * g * g, update = (m / c1) / (sqrt(v / c2) +
-    eps) plus weight_decay * p where p decays, then p - lr * update. Each
-    in-place ufunc rounds as the expression's own step does, so the bits
-    match a per-tensor evaluation of the same formula.
+    Per element, in this order of operations: m = BETA1 * m + (1 - BETA1) * g,
+    v = BETA2 * v + (1 - BETA2) * g * g, update = (m / c1) / (sqrt(v / c2) +
+    ADAM_EPS) plus weight_decay * p where p decays, then p - lr * update.
+    Each in-place ufunc rounds as the expression's own step does, so the
+    bits match a per-tensor evaluation of the same formula.
     """
-    hp = state.hp
     t = state.step
-    c1 = 1.0 - hp.beta1 ** t
-    c2 = 1.0 - hp.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for p, g, m, v, tmp, update, decay in sets:
-        m *= hp.beta1
-        np.multiply(g, 1 - hp.beta1, out=tmp)
+        m *= BETA1
+        np.multiply(g, 1 - BETA1, out=tmp)
         m += tmp
-        v *= hp.beta2
-        np.multiply(g, 1 - hp.beta2, out=tmp)
+        v *= BETA2
+        np.multiply(g, 1 - BETA2, out=tmp)
         tmp *= g
         v += tmp
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += hp.eps
+        tmp += ADAM_EPS
         np.divide(m, c1, out=update)
         update /= tmp
-        np.multiply(p[:decay], hp.weight_decay, out=tmp[:decay])
+        np.multiply(p[:decay], state.hp.weight_decay, out=tmp[:decay])
         update[:decay] += tmp[:decay]
         update *= lr
         p -= update
@@ -201,10 +201,13 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> tuple[float, float]:
     """Top-1 accuracy and mean cross-entropy over a dataset split.
 
-    Raises ValueError when it is empty or a label lies outside [0, classes).
+    Raises ValueError when it is empty, a label lies outside [0, classes),
+    or ``batch_size`` is below 1.
     """
     labels = np.asarray(labels)
     _check_split(labels, model.config.classes, "evaluated")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = images.shape[0]
     correct = 0
     losses = np.empty(n, dtype=np.float64)
@@ -275,7 +278,7 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
         yb = data.train_labels[idx]
         try:
             logits = forward(state.model, xb)
-            loss = smoothed_cross_entropy(logits, yb, hp.label_smoothing)
+            loss = smoothed_cross_entropy(logits, yb, LABEL_SMOOTHING)
             for p in params.values():
                 p.grad = None
             T.backward(loss)

@@ -244,19 +244,19 @@ def adamw_step_ref(state, grads, lr):
     array, and ``state.model`` a new model over the new table. Weight decay
     skips 1-D tensors and ``rel_bias``."""
     from winmix.tensor import Tensor
+    from winmix.train import ADAM_EPS, BETA1, BETA2
 
-    hp = state.hp
     t = state.step
-    c1 = 1.0 - hp.beta1 ** t
-    c2 = 1.0 - hp.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     new_params = {}
     for name, p in state.model.params.items():
         g = grads[name]
-        m = state.m[name] = hp.beta1 * state.m[name] + (1 - hp.beta1) * g
-        v = state.v[name] = hp.beta2 * state.v[name] + (1 - hp.beta2) * g * g
-        update = (m / c1) / (np.sqrt(v / c2) + hp.eps)
+        m = state.m[name] = BETA1 * state.m[name] + (1 - BETA1) * g
+        v = state.v[name] = BETA2 * state.v[name] + (1 - BETA2) * g * g
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if p.ndim >= 2 and not name.endswith("rel_bias"):
-            update = update + hp.weight_decay * p.data
+            update = update + state.hp.weight_decay * p.data
         new_params[name] = Tensor((p.data - lr * update).astype(p.data.dtype),
                                   requires_grad=True)
     state.model = dataclasses.replace(state.model, params=new_params)

@@ -252,6 +252,26 @@ class TestFlopsOracle:
         cfg = preset(name)
         assert flops_oracle(cfg, 224) == count_flops(cfg, 224).total_flops
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(("Linear", "DWLinear", "MLP", "MHSA")),
+           st.sampled_from(("Shift", "Shuffle", "MSG", "None")),
+           st.integers(1, 5), st.integers(1, 12), st.integers(1, 6), st.integers(1, 6),
+           st.tuples(*[st.integers(1, 2)] * 4), st.integers(2, 5),
+           st.integers(1, 48), st.integers(1, 48))
+    # window 5 at 20x12: stage 0 is 5x3 and every stage pads to one window;
+    # window 3 at 44x28: stage 0 has partial edge windows, stage 2 pads to one
+    @example("MLP", "MSG", 5, 12, 4, 3, (2, 2, 1, 1), 3, 20, 12)
+    @example("MHSA", "Shift", 3, 8, 4, 2, (2, 2, 2, 1), 4, 44, 28)
+    def test_oracle_and_table_on_random_configs(self, agg, comm, window, width, groups,
+                                                heads_divisor, depths, classes, h, w):
+        # the closed forms against the real forward pass and the built table
+        cfg = ModelConfig(width=width, depths=depths, window=window, aggregator=agg,
+                          comm=comm, classes=classes, groups=groups,
+                          heads_divisor=heads_divisor)
+        assert flops_oracle(cfg, (h, w)) == count_flops(cfg, (h, w)).total_flops
+        assert sum(int(np.prod(s)) for s in M.table_shapes(cfg).values()) \
+            == count_params(cfg).total_params
+
     @pytest.mark.parametrize("res", [0, (0, 5), -3])
     def test_non_positive_resolution_rejected(self, res):
         with pytest.raises(ValueError, match="resolution must be positive"):

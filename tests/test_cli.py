@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from winmix.analytics import MASK_BUDGET
 from winmix.cli import cli_main
 from winmix.data import DatasetSpec, gen_dataset
 from winmix.io import load_checkpoint, save_checkpoint
-from winmix.model import build_model, preset, save_model
+from winmix.model import PRESETS, build_model, preset, save_model
 from winmix.train import load_state, save_state
 
 
@@ -105,6 +106,24 @@ class TestConnectivity:
         assert code == 1
         assert out == ""
         assert err.startswith("error: grid must be positive")
+
+    def test_grid_over_mask_budget_exits_1_before_allocating(self, capsys):
+        # 32 blocks of (112*112)^2 one-byte masks would need about 5 GB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "connectivity", "swin-linmapper-tiny",
+                                     "--grid", "112")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: a 112x112 grid needs 5,035,261,952 bytes of masks, "
+                              f"over the {MASK_BUDGET:,}-byte budget")
+        assert peak < 1 << 20
+        # the 56x56 stage-0 grid of a 224 px image still fits on every preset
+        assert max(sum(cfg.depths) for cfg in PRESETS.values()) * (56 * 56) ** 2 <= MASK_BUDGET
 
     def test_pgm_dump(self, capsys, tmp_path):
         out_dir = tmp_path / "pgms"
@@ -249,6 +268,32 @@ class TestTrainEvalBench:
         code, out, err = run_cli(capsys, *common, "--resume", str(tmp_path / "bad.wmix"))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "bad.wmix: train state 'step' must be int" in err
+
+    def test_hp_file_with_retired_keys_trains_as_without(self, capsys, artifacts, tmp_path):
+        # an --hp file of the eleven keys hyperparameters once had, the four
+        # now fixed at their one value, trains exactly as the seven do
+        hp = json.loads((artifacts / "hp.json").read_text())
+        old = hp | {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "label_smoothing": 0.1}
+        for name, d in (("new", hp), ("old", old)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(d))
+            code, out, _ = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),
+                                   "--hp", str(tmp_path / f"{name}.json"),
+                                   "--data", str(artifacts / "data.json"),
+                                   "--out", str(tmp_path / name))
+            assert code == 0
+        new, old = (load_state(tmp_path / n / "last_good.wmix") for n in ("new", "old"))
+        assert new.hp == old.hp and new.step_losses == old.step_losses
+        assert all(new.model.params[k].numpy().tobytes() == old.model.params[k].numpy().tobytes()
+                   for k in new.model.params)
+        (tmp_path / "bad.json").write_text(json.dumps(hp | {"label_smoothing": 0.2}))
+        code, out, err = run_cli(capsys, "train", "--config", str(artifacts / "cfg.json"),
+                                 "--hp", str(tmp_path / "bad.json"),
+                                 "--data", str(artifacts / "data.json"),
+                                 "--out", str(tmp_path / "bad"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: retired hyperparameter field 'label_smoothing' "
+                              "must be 0.1, got float 0.2")
+        assert not (tmp_path / "bad").exists()
 
     def test_unknown_hp_key_exits_1(self, capsys, artifacts, tmp_path):
         hp = tmp_path / "hp.json"

@@ -28,6 +28,9 @@ from winmix.train import (
 from oracles import adamw_step_ref
 
 CFG = ModelConfig(width=8, depths=(1, 1, 1, 1), window=2, classes=4, groups=4)
+# hyperparameters retired for being fixed by the training recipe, at the one
+# value every earlier file could hold
+RETIRED_HP = {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "label_smoothing": 0.1}
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +56,8 @@ class TestSchedule:
             Hyperparams(lr=-1.0)
         with pytest.raises(ValueError):
             Hyperparams(warmup_frac=1.5)
-        with pytest.raises(ValueError):
-            Hyperparams(label_smoothing=1.0)
+        with pytest.raises(ValueError, match="label_smoothing"):
+            Hyperparams.from_dict({"label_smoothing": 1.0})
         with pytest.raises(ValueError):
             Hyperparams(steps=0)
 
@@ -62,11 +65,40 @@ class TestSchedule:
         ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("eps", 0.0), ("eps", -1e-8),
         ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan)])
     def test_optimizer_constants_validated(self, key, value):
-        # each of these used to train a step and then fail or run silently
-        with pytest.raises(ValueError, match=key):
-            Hyperparams(**{key: value})
+        # each of these used to train a step and then fail or run silently;
+        # beta1, beta2 and eps are constants, which a file may name only at
+        # their values
         with pytest.raises(ValueError, match=key):
             Hyperparams.from_dict(json.loads(json.dumps({key: value})))
+        if key in RETIRED_HP:
+            with pytest.raises(TypeError, match=key):
+                Hyperparams(**{key: value})
+        else:
+            with pytest.raises(ValueError, match=f"^{key} must be finite and >= 0, got {value}$"):
+                Hyperparams(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", -1.0), ("weight_decay", -0.5), ("warmup_frac", 1.5), ("steps", 0),
+        ("batch_size", 0), ("batch_size", -4), ("eval_every", 0), ("target_accuracy", 2.0)])
+    def test_each_error_names_one_field_and_value(self, key, value):
+        # a message that names several fields leaves the culprit open
+        with pytest.raises(ValueError, match=f"^{key} must .*, got {value}$"):
+            Hyperparams(**{key: value})
+
+    def test_old_dict_with_every_retired_field_loads(self):
+        old = json.loads(json.dumps(Hyperparams(steps=7).to_dict() | RETIRED_HP))
+        assert len(old) == 11
+        assert Hyperparams.from_dict(old) == Hyperparams(steps=7)
+        assert len(Hyperparams().to_dict()) == 7
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_HP))
+    def test_retired_field_loads_at_old_value_only(self, key):
+        old = RETIRED_HP[key]
+        assert Hyperparams.from_dict({key: old, "steps": 3}) == Hyperparams(steps=3)
+        for bad in (old * 2, -old, 0, 1, str(old), True, None, [old], math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"retired hyperparameter field '{key}' "
+                                                 f"must be {old}, got"):
+                Hyperparams.from_dict(json.loads(json.dumps({key: bad})))
 
     @pytest.mark.parametrize("value", [2.0, 1.0001, -0.1, math.nan, math.inf])
     def test_target_accuracy_outside_unit_interval_rejected(self, value):
@@ -205,6 +237,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="evaluated split is empty"):
             evaluate(model, np.zeros((0, 8, 8, 3), dtype=np.float32), np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_batch_size_below_1_rejected(self, batch_size, monkeypatch):
+        # -4 used to skip the loop and return the mean of an unfilled array
+        monkeypatch.setattr(importlib.import_module("winmix.train"), "forward", None)
+        model = build_model(CFG, seed=0)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate(model, np.zeros((8, 8, 8, 3), np.float32), np.zeros(8, np.int64),
+                     batch_size=batch_size)
+
     def test_batch_size_invariance(self, small_data):
         model = build_model(CFG, seed=2)
         accs, losses = zip(*[
@@ -277,6 +318,34 @@ class TestCheckpointResume:
         for k in full.model.params:
             assert full.model.params[k].numpy().tobytes() == \
                 resumed.model.params[k].numpy().tobytes()
+
+    def test_resume_from_file_with_retired_hyperparameters(self, small_data, tmp_path):
+        # earlier training states spell out all eleven hyperparameters, the
+        # four now fixed ones at their one value; they load and resume
+        # bit-exactly, and any other value of one names the file and key
+        hp = Hyperparams(steps=8, eval_every=4)
+        full = train(CFG, small_data, hp, seed=5)
+        save_state(tmp_path / "half.wmix", train(CFG, small_data, hp, seed=5, until=4))
+        blob, tensors = load_checkpoint(tmp_path / "half.wmix")
+        blob["train"]["hp"] |= RETIRED_HP
+        assert len(blob["train"]["hp"]) == 11
+        save_checkpoint(tmp_path / "old.wmix", blob, tensors)
+        state = load_state(tmp_path / "old.wmix")
+        assert state.hp == hp
+        resumed = train(CFG, small_data, hp, seed=5, state=state)
+        assert resumed.step_losses == full.step_losses and resumed.evals == full.evals
+        for k in full.model.params:
+            assert full.model.params[k].numpy().tobytes() == \
+                resumed.model.params[k].numpy().tobytes()
+            assert full.m[k].tobytes() == resumed.m[k].tobytes()
+            assert full.v[k].tobytes() == resumed.v[k].tobytes()
+        for key, old in RETIRED_HP.items():
+            for bad in (old / 2, str(old)):
+                blob["train"]["hp"] = hp.to_dict() | {key: bad}
+                save_checkpoint(tmp_path / "edited.wmix", blob, tensors)
+                with pytest.raises(CheckpointError, match=f"edited.wmix: train state 'hp': "
+                                                          f"retired hyperparameter field '{key}'"):
+                    load_state(tmp_path / "edited.wmix")
 
     def test_resume_rejects_config_mismatch(self, small_data, tmp_path):
         hp = Hyperparams(steps=4, eval_every=4)
@@ -521,9 +590,9 @@ TRAIN_BLOB_DEFECTS = {
         lambda tr: {**tr, "rng_state": {**tr["rng_state"], "state": {"state": "x", "inc": "1"}}},
         "'rng_state': invalid literal"),
     "hp steps 0": (lambda tr: {**tr, "hp": {**tr["hp"], "steps": 0}},
-                   r"'hp': steps, batch_size and eval_every must be >= 1"),
+                   r"'hp': steps must be >= 1, got 0$"),
     "hp beta1 1": (lambda tr: {**tr, "hp": {**tr["hp"], "beta1": 1.0}},
-                   r"'hp': beta1 and beta2 must lie in \[0, 1\)"),
+                   r"'hp': retired hyperparameter field 'beta1' must be 0\.9, got float 1\.0$"),
     "evals of empty objects": (_with("evals", [{}]),
                                r"'evals' entry 0 needs numeric \['step', 'lr', "),
     "eval accuracy a string": (
