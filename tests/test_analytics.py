@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -278,6 +279,87 @@ class TestFlopsOracle:
             flops_oracle(DESK, res)
         with pytest.raises(ValueError, match="resolution must be positive"):
             count_flops(DESK, res)
+
+
+def frozen_cost_cases():
+    """(id, config, resolutions) of the frozen cost tables: every preset at
+    224 px, and toy-desk over 4 aggregators x 4 comms at 32 px and at a
+    ragged 37x29 px that pads the stem, the windows and the merges."""
+    for name in sorted(M.PRESETS):
+        yield name, preset(name), (224,)
+    for agg in ("Linear", "DWLinear", "MLP", "MHSA"):
+        for comm in ("Shift", "Shuffle", "MSG", "None"):
+            yield (f"toy-desk-{agg}-{comm}", dataclasses.replace(DESK, aggregator=agg, comm=comm),
+                   (32, (37, 29)))
+
+
+class TestFrozenCostTables:
+    # sha256 over the JSON of each config's parameter table (names, shapes
+    # and order), its count_params report and its count_flops reports; any
+    # change to a row's path, order or value changes the digest
+    FROZEN = {
+        "msg-linmapper-tiny":
+            "993f390958db7ca3499a3da2da04e52ddd9e909fb6bf67a312a72a759e673644",
+        "shuffle-linmapper-tiny":
+            "559e4dadb274fb9518f0cf85b12c7353cad59aadaeade0db2d7967a24c3a6c74",
+        "swin-linmapper-base":
+            "f9952af4f3f0b90271b9f014af4b6aa45989a9caaa12a7604ce4375a34d7e798",
+        "swin-linmapper-small":
+            "06d3c584e64fcddf6bbc66fcd490b6c533b818086a472d25ade9daad2b26c3ad",
+        "swin-linmapper-tiny":
+            "559e4dadb274fb9518f0cf85b12c7353cad59aadaeade0db2d7967a24c3a6c74",
+        "swin-linmapper-tiny-baseline":
+            "973341a14f84fe798a3859dc206a115809c2aaf612d495dddc3790b6428629d5",
+        "swin-linmapper-tiny-deep":
+            "559e4dadb274fb9518f0cf85b12c7353cad59aadaeade0db2d7967a24c3a6c74",
+        "swin-linmapper-tiny-wide":
+            "c9ba2ac2cb19b2a3a0c1f90eb01d857c506b64c6b4990f84eeecb5ac1864e829",
+        "swin-t-mhsa":
+            "1f8c28d9f9cf7bd7b006c377ec48f22c8946400102419818e073322625a3eaa6",
+        "toy-desk":
+            "3d675287ef056e3aa1d96507cabce65f3bd3431ea3d788946fa33374db14066b",
+        "toy-desk-Linear-Shift":
+            "7ab891a7115e52b232a43ecd4da12cb84c982c130294e04160206c1280eb78c7",
+        "toy-desk-Linear-Shuffle":
+            "7ab891a7115e52b232a43ecd4da12cb84c982c130294e04160206c1280eb78c7",
+        "toy-desk-Linear-MSG":
+            "c16538f3f5812a8abdbcc43d53fd954b8858b63e9954fdb9f9296b9038b23c1c",
+        "toy-desk-Linear-None":
+            "7ab891a7115e52b232a43ecd4da12cb84c982c130294e04160206c1280eb78c7",
+        "toy-desk-DWLinear-Shift":
+            "c6f5703d1de4aec9379333349a2f16806090255097fc55a7b25e256b861eb0d7",
+        "toy-desk-DWLinear-Shuffle":
+            "c6f5703d1de4aec9379333349a2f16806090255097fc55a7b25e256b861eb0d7",
+        "toy-desk-DWLinear-MSG":
+            "f7977301e7d84a81594ba96e88bcfd0745b26456462feab2c1940caa450e4f6a",
+        "toy-desk-DWLinear-None":
+            "c6f5703d1de4aec9379333349a2f16806090255097fc55a7b25e256b861eb0d7",
+        "toy-desk-MLP-Shift":
+            "67be4f00a8d9bbd491ea5c7a3f5b0c7d0521dd635a85121b1b8a76cad1568249",
+        "toy-desk-MLP-Shuffle":
+            "67be4f00a8d9bbd491ea5c7a3f5b0c7d0521dd635a85121b1b8a76cad1568249",
+        "toy-desk-MLP-MSG":
+            "fc857417d7d846bff8a55b74f283197725ff807ca2753e72dcba8e0317a182fe",
+        "toy-desk-MLP-None":
+            "67be4f00a8d9bbd491ea5c7a3f5b0c7d0521dd635a85121b1b8a76cad1568249",
+        "toy-desk-MHSA-Shift":
+            "2340e0a34b1be5b86521a79358b2bc8596048b91b4eb62b1ebd067d28e4c7b4c",
+        "toy-desk-MHSA-Shuffle":
+            "2340e0a34b1be5b86521a79358b2bc8596048b91b4eb62b1ebd067d28e4c7b4c",
+        "toy-desk-MHSA-MSG":
+            "85ca1edef31e8f816eb2e378c09058a0864e7349279ccc8ecd190eaacb9cb73a",
+        "toy-desk-MHSA-None":
+            "2340e0a34b1be5b86521a79358b2bc8596048b91b4eb62b1ebd067d28e4c7b4c",
+    }
+
+    @pytest.mark.parametrize("case", list(frozen_cost_cases()), ids=lambda c: c[0])
+    def test_cost_tables_frozen(self, case):
+        name, cfg, resolutions = case
+        tables = {"table": list(M.table_shapes(cfg).items()),
+                  "params": count_params(cfg).to_dict(),
+                  "flops": [count_flops(cfg, r).to_dict() for r in resolutions]}
+        digest = hashlib.sha256(json.dumps(tables).encode()).hexdigest()
+        assert digest == self.FROZEN[name], name
 
 
 def dense_oracle_case(seed: int) -> tuple[ModelConfig, int, int]:
