@@ -21,7 +21,8 @@ position bias.
 are written; the model's table, init draws and checkpoint records follow it.
 A layer's parameters are a plain dict keyed by those names, and its sizes
 are read from shapes: ws from the token count, gs from the axial weight
-width, heads from ``rel_bias``. ``init_param`` is the model's one init rule.
+width, heads from ``rel_bias``. ``init_param`` is the model's one init rule,
+and ``window_macs`` the one count of a window's multiplies.
 ``aggregate`` is the one entry point; every kind takes and returns
 token-major windows (B, ws*ws, C), tokens flattened row-major, and can
 compute its outputs at a product of kept rows and columns only.
@@ -77,6 +78,21 @@ def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
             lead = (g,) if kind == "DWLinear" else ()
             shapes |= {f"w_{axis}": (*lead, k, k), f"b_{axis}": (*lead, k)}
     return shapes | {"w_p": (c, c), "b_p": (c,)}
+
+
+def window_macs(kind: str, c: int, ws: int, gs: int, rows: int, cols: int) -> int:
+    """Multiply-accumulates of one window's layer with outputs at rows x cols
+    of its positions; every ws x ws position is an input."""
+    n, m = ws * ws, rows * cols
+    if kind == "MHSA":
+        return 2 * c * c * (m + n) + 2 * m * n * c
+    k = gs * ws
+    # the height map runs once per kept column to gs*rows outputs, the width
+    # map once per kept row to gs*cols; MLP's hidden layer keeps its full width
+    axial = 2 * k * gs * m
+    if kind == "MLP":
+        axial = MLP_RATIO * k * ((rows + cols) * k + 2 * gs * m)
+    return c // gs * axial + c * c * m
 
 
 def _check_groups(c: int, gs: int) -> int:

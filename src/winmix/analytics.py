@@ -1,12 +1,14 @@
 """Cost accounting, token-connectivity analysis, and micro-benchmarks.
 
-Parameter and FLOP counts are closed-form functions of the config: no model
-is instantiated. FLOPs are multiply-accumulates at batch size 1 for a given
-input resolution; norms, softmax, GELU, pooling and plain additions count
-zero, and permutation ops (partition, shift, shuffle, messenger exchange)
-are free. ``flops_oracle`` cross-checks the closed form by running the real
-forward pass with an instrumented matmul kernel and must agree exactly; since
-MACs depend only on shapes, it runs on a zero table from ``table_shapes``.
+Parameter and FLOP counts sum the records of ``model.layers``, the one walk
+of the architecture, which also names the parameter table: no model is
+instantiated, and a row's parameter count is the summed size of its shapes.
+FLOPs are multiply-accumulates at batch size 1 for a given input resolution;
+norms, softmax, GELU, pooling and plain additions count zero, and
+permutation ops (partition, shift, shuffle, messenger exchange) are free.
+``flops_oracle`` cross-checks the counts by running the real forward pass
+with an instrumented matmul kernel and must agree exactly; since MACs depend
+only on shapes, it runs on a zero table from ``table_shapes``.
 
 Connectivity propagates boolean token-influence masks through the block
 sequence on a fixed token grid, using each aggregator's intra-window pattern
@@ -28,19 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .aggregators import MLP_RATIO
 from .model import (
-    FFN_RATIO,
     Model,
     ModelConfig,
     choose_messenger_region,
     comm_active,
     comm_permutation,
     forward,
+    layers,
     stage_channels,
-    stage_groups,
     stage_has_comm,
-    stage_heads,
     table_shapes,
 )
 from .tensor import Tensor
@@ -108,91 +107,24 @@ class CostReport:
         return "\n".join(lines)
 
 
-def _agg_param_count(cfg: ModelConfig, stage: int) -> int:
-    c = stage_channels(cfg, stage)
-    ws = cfg.window
-    if cfg.aggregator == "MHSA":
-        heads = stage_heads(cfg, stage)
-        return 4 * c * c + 4 * c + heads * (2 * ws - 1) ** 2
-    groups, gs = stage_groups(cfg, stage)
-    k = gs * ws
-    if cfg.aggregator == "Linear":
-        return 2 * (k * k + k) + c * c + c
-    if cfg.aggregator == "DWLinear":
-        return groups * 2 * (k * k + k) + c * c + c
-    return 2 * (2 * MLP_RATIO * k * k + MLP_RATIO * k + k) + c * c + c
-
-
-def _agg_flops_per_window(cfg: ModelConfig, stage: int, rows: int, cols: int) -> int:
-    """MACs of one window's aggregator with outputs at rows x cols of its
-    positions; every ws x ws position is an input."""
-    c = stage_channels(cfg, stage)
-    ws = cfg.window
-    n, m = ws * ws, rows * cols
-    if cfg.aggregator == "MHSA":
-        return 2 * c * c * (m + n) + 2 * m * n * c
-    groups, gs = stage_groups(cfg, stage)
-    k = gs * ws
-    # the height map runs once per kept column to gs*rows outputs, the width
-    # map once per kept row to gs*cols; MLP's hidden layer keeps its full width
-    axial = 2 * k * gs * m
-    if cfg.aggregator == "MLP":
-        axial = MLP_RATIO * k * ((rows + cols) * k + 2 * gs * m)
-    return groups * axial + c * c * m
-
-
-def _ceil_to(x: int, m: int) -> int:
-    return -(-x // m) * m
-
-
-def _enumerate_layers(cfg: ModelConfig, resolution: tuple[int, int]):
-    """Yield CostRow per layer at a resolution; paths and parameter counts
-    do not depend on it.
-
-    The grid bookkeeping mirrors the forward pass exactly: the stem pads the
-    image to a multiple of 4, blocks pad to the window size for ``.agg`` and
-    ``.msg`` and crop before ``.ffn``, and patch merging pads to even extents.
-    ``.agg`` reads padded positions as inputs everywhere but computes padded
-    outputs only in multi-window stages: a stage padded to one window
-    computes its h x w real tokens alone.
-    """
-    ws = cfg.window
-    h = _ceil_to(resolution[0], 4) // 4
-    w = _ceil_to(resolution[1], 4) // 4
-
-    c0 = cfg.width
-    yield CostRow("stem.proj", 48 * c0 + c0, 48 * c0 * h * w)
-    yield CostRow("stem.norm", 2 * c0, 0)
-
-    for s in range(4):
-        c = stage_channels(cfg, s)
-        if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            yield CostRow(f"stage{s}.msg_init", c, 0)
-        windows = _ceil_to(h, ws) * _ceil_to(w, ws) // (ws * ws)
-        rows, cols = (h, w) if windows == 1 else (ws, ws)
-        agg = (_agg_param_count(cfg, s), windows * _agg_flops_per_window(cfg, s, rows, cols))
-        ffn = (2 * FFN_RATIO * c * c + (FFN_RATIO + 1) * c, 2 * FFN_RATIO * c * c * h * w)
-        for i in range(cfg.depths[s]):
-            prefix = f"stage{s}.block{i}"
-            yield CostRow(f"{prefix}.norms", 4 * c, 0)
-            yield CostRow(f"{prefix}.agg", *agg)
-            yield CostRow(f"{prefix}.ffn", *ffn)
-            if cfg.comm == "MSG" and comm_active(cfg, i):
-                yield CostRow(f"{prefix}.msg", 2 * c * c + 2 * c, 2 * c * c * windows)
-        if s < 3:
-            h, w = _ceil_to(h, 2) // 2, _ceil_to(w, 2) // 2
-            yield CostRow(f"merge{s}.norm", 8 * c, 0)
-            yield CostRow(f"merge{s}.reduce", 8 * c * c, 8 * c * c * h * w)
-
-    c3 = stage_channels(cfg, 3)
-    yield CostRow("head.norm", 2 * c3, 0)
-    yield CostRow("head.linear", c3 * cfg.classes + cfg.classes, c3 * cfg.classes)
+def _cost_rows(cfg: ModelConfig, resolution: tuple[int, int], flops: bool) -> list[CostRow]:
+    """The records of ``layers`` summed per cost row, in first-seen order."""
+    rows: dict[str, CostRow] = {}
+    for path, _, _, params, macs in layers(cfg, resolution):
+        row = rows.get(path)
+        if row is None:
+            rows[path] = CostRow(path, params, macs if flops else None)
+        else:
+            row.params += params
+            if flops:
+                row.flops += macs
+    return list(rows.values())
 
 
 def count_params(cfg: ModelConfig) -> CostReport:
-    """Closed-form per-layer parameter counts; equals the built model's
-    parameter table total exactly."""
-    return CostReport(rows=[CostRow(r.path, r.params) for r in _enumerate_layers(cfg, (1, 1))])
+    """Per-layer parameter counts, each the summed size of the layer's
+    shapes in the parameter table; no model is built."""
+    return CostReport(rows=_cost_rows(cfg, (1, 1), flops=False))
 
 
 def _as_hw(resolution) -> tuple[int, int]:
@@ -204,9 +136,9 @@ def _as_hw(resolution) -> tuple[int, int]:
 
 
 def count_flops(cfg: ModelConfig, resolution) -> CostReport:
-    """Closed-form multiply-accumulate counts at batch 1 for a resolution."""
+    """Per-layer multiply-accumulate counts at batch 1 for a resolution."""
     hw = _as_hw(resolution)
-    return CostReport(rows=list(_enumerate_layers(cfg, hw)), resolution=hw)
+    return CostReport(rows=_cost_rows(cfg, hw, flops=True), resolution=hw)
 
 
 def flops_oracle(cfg: ModelConfig, resolution, seed: int = 0) -> int:
@@ -289,8 +221,8 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
         raise ValueError(f"a {grid_h}x{grid_w} grid needs {need:,} bytes of masks, "
                          f"over the {MASK_BUDGET:,}-byte budget")
     ws = cfg.window
-    hp, wp = _ceil_to(grid_h, ws), _ceil_to(grid_w, ws)
-    gh, gw = hp // ws, wp // ws
+    gh, gw = -(-grid_h // ws), -(-grid_w // ws)
+    hp, wp = gh * ws, gw * ws
     n = hp * wp
     real = (np.arange(n) // wp < grid_h) & (np.arange(n) % wp < grid_w)
     m = int(real.sum())

@@ -92,7 +92,6 @@ class DatasetSpec:
 
 @dataclass
 class SyntheticDataset:
-    spec: DatasetSpec | None
     train_images: np.ndarray
     train_labels: np.ndarray
     val_images: np.ndarray
@@ -196,8 +195,7 @@ def gen_dataset(spec: DatasetSpec) -> SyntheticDataset:
     train_images = make(rng, train_labels, spec)
     val_labels = _balanced_labels(spec.n_val, spec.classes)
     val_images = make(rng, val_labels, spec)
-    return SyntheticDataset(spec=spec,
-                            train_images=train_images,
+    return SyntheticDataset(train_images=train_images,
                             train_labels=train_labels.astype(np.int64),
                             val_images=val_images,
                             val_labels=val_labels.astype(np.int64))
@@ -207,7 +205,7 @@ def dataset_from_wdat(train_path, val_path) -> SyntheticDataset:
     """Load an external dataset pair from WDAT files."""
     ti, tl = load_wdat(train_path)
     vi, vl = load_wdat(val_path)
-    return SyntheticDataset(spec=None, train_images=ti, train_labels=tl,
+    return SyntheticDataset(train_images=ti, train_labels=tl,
                             val_images=vi, val_labels=vl)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .analytics import _as_hw
 from .model import Model, ModelConfig, build_model, forward
 from .tensor import Tensor
 from .train import LABEL_SMOOTHING, smoothed_cross_entropy
@@ -57,10 +58,12 @@ def sampled_check(loss_fn, arrays: dict[str, np.ndarray], rng: np.random.Generat
 
 def model_gradcheck(cfg: ModelConfig, seed: int = 0, samples_per_leaf: int = 2,
                     resolution: int | None = None) -> float:
-    """End-to-end check of a full model's loss gradients (float64)."""
-    res = resolution if resolution is not None else 4 * cfg.window
+    """End-to-end check of a full model's loss gradients (float64) on
+    images of side ``resolution``, 4 windows by default; a resolution below
+    1 raises ValueError."""
+    h, w = _as_hw(resolution if resolution is not None else 4 * cfg.window)
     rng = np.random.Generator(np.random.PCG64(seed))
-    images = rng.standard_normal((2, res, res, 3))
+    images = rng.standard_normal((2, h, w, 3))
     labels = rng.integers(0, cfg.classes, 2)
     template = build_model(cfg, seed=seed, dtype=np.float64)
     arrays = {k: t.data.copy() for k, t in template.params.items()}

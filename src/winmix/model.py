@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -188,58 +189,96 @@ class Model:
         return sum(t.size for t in self.params.values())
 
 
-def table_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Ordered name -> shape of the whole parameter table.
+def _norm(c: int) -> dict[str, tuple[int, ...]]:
+    return {"g": (c,), "b": (c,)}
 
-    The one walk of the parameter names: ``build_model`` draws in this
-    order, checkpoints record in it, ``load_model`` checks files against it
-    and ``flops_oracle`` runs the forward pass on its zero table.
+
+def _size(leaves: dict[str, tuple[int, ...]]) -> int:
+    return sum(map(prod, leaves.values()))
+
+
+def _layer(row: str, leaves: dict[str, tuple[int, ...]], macs: int, prefix: str | None = None):
+    return row, prefix or row, leaves, _size(leaves), macs
+
+
+def layers(cfg: ModelConfig, resolution: tuple[int, int] = (1, 1)):
+    """The one walk of the architecture: stem, four stages of blocks, the
+    merges between them and the head, in parameter-table order.
+
+    Yields ``(row, prefix, leaves, params, macs)`` per layer. ``row`` is its
+    ``count_flops`` row; a block's two norms share one row, as do its
+    messenger's two maps, and the cost tables sum them in first-seen order.
+    The layer's table names are ``f"{prefix}.{leaf}"`` for each
+    ``leaf, shape`` in ``leaves``, ``params`` is their summed size, and
+    ``macs`` is what the layer multiplies at batch 1 for an image of
+    ``resolution`` (height, width). A stage builds its blocks' leaf tables
+    and sizes once. The grid follows the forward pass: the stem pads the
+    image to a multiple of 4, blocks pad to the window for ``.agg`` and
+    ``.msg`` and crop before ``.ffn``, and merges pad to even sides. ``.agg``
+    reads padded positions as inputs everywhere, but a stage padded to one
+    window computes its outputs only at its h x w real tokens.
     """
-    def norm(prefix, c):
-        return {f"{prefix}.g": (c,), f"{prefix}.b": (c,)}
-
-    c0 = cfg.width
-    shapes = {"stem.proj.w": (c0, 48), "stem.proj.b": (c0,), **norm("stem.norm", c0)}
+    ws, c = cfg.window, cfg.width
+    h, w = -(-resolution[0] // 4), -(-resolution[1] // 4)
+    yield _layer("stem.proj", {"w": (c, 48), "b": (c,)}, 48 * c * h * w)
+    yield _layer("stem.norm", _norm(c), 0)
     for s in range(4):
-        c, hidden = stage_channels(cfg, s), FFN_RATIO * stage_channels(cfg, s)
-        agg_shapes = agg.param_shapes(cfg.aggregator, c, cfg.window, stage_groups(cfg, s)[1],
-                                      stage_heads(cfg, s))
+        c = stage_channels(cfg, s)
+        hidden, gs = FFN_RATIO * c, stage_groups(cfg, s)[1]
+        windows = -(-h // ws) * -(-w // ws)
+        rows, cols = (h, w) if windows == 1 else (ws, ws)
+        norm = _norm(c)
+        mixer = agg.param_shapes(cfg.aggregator, c, ws, gs, stage_heads(cfg, s))
+        ffn = {"w1": (hidden, c), "b1": (hidden,), "w2": (c, hidden), "b2": (c,)}
+        norm_n, mixer_n, ffn_n = _size(norm), _size(mixer), _size(ffn)
+        mixer_macs = windows * agg.window_macs(cfg.aggregator, c, ws, gs, rows, cols)
+        ffn_macs = 2 * hidden * c * h * w
         if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            shapes[f"stage{s}.msg_init"] = (1, c)
+            msg = {"w": (c, c), "b": (c,)}
+            msg_n, msg_macs = _size(msg), c * c * windows
+            yield _layer(f"stage{s}.msg_init", {"msg_init": (1, c)}, 0, f"stage{s}")
         for i in range(cfg.depths[s]):
-            prefix = f"stage{s}.block{i}"
-            shapes |= norm(f"{prefix}.norm1", c)
-            shapes |= {f"{prefix}.agg.{name}": shape for name, shape in agg_shapes.items()}
-            shapes |= norm(f"{prefix}.norm2", c)
-            shapes |= {f"{prefix}.ffn.w1": (hidden, c), f"{prefix}.ffn.b1": (hidden,),
-                       f"{prefix}.ffn.w2": (c, hidden), f"{prefix}.ffn.b2": (c,)}
+            block = f"stage{s}.block{i}"
+            norms, mixer_row, ffn_row = block + ".norms", block + ".agg", block + ".ffn"
+            yield norms, block + ".norm1", norm, norm_n, 0
+            yield mixer_row, mixer_row, mixer, mixer_n, mixer_macs
+            yield norms, block + ".norm2", norm, norm_n, 0
+            yield ffn_row, ffn_row, ffn, ffn_n, ffn_macs
             if cfg.comm == "MSG" and comm_active(cfg, i):
                 for part in ("collect", "distribute"):
-                    shapes |= {f"{prefix}.msg.{part}.w": (c, c),
-                               f"{prefix}.msg.{part}.b": (c,)}
+                    yield block + ".msg", f"{block}.msg.{part}", msg, msg_n, msg_macs
         if s < 3:
-            shapes |= norm(f"merge{s}.norm", 4 * c)
-            shapes[f"merge{s}.reduce.w"] = (2 * c, 4 * c)
-    c3 = stage_channels(cfg, 3)
-    return shapes | norm("head.norm", c3) | {"head.w": (cfg.classes, c3),
-                                             "head.b": (cfg.classes,)}
+            h, w = -(-h // 2), -(-w // 2)
+            yield _layer(f"merge{s}.norm", _norm(4 * c), 0)
+            yield _layer(f"merge{s}.reduce", {"w": (2 * c, 4 * c)}, 8 * c * c * h * w)
+    yield _layer("head.norm", _norm(c), 0)
+    yield _layer("head.linear", {"w": (cfg.classes, c), "b": (cfg.classes,)}, c * cfg.classes,
+                 "head")
+
+
+def table_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Ordered name -> shape of the whole parameter table, read off
+    ``layers``, the walk that also gives the cost rows: checkpoints record in
+    this order, ``load_model`` checks files against it and ``flops_oracle``
+    runs the forward pass on its zero table.
+    """
+    return {f"{prefix}.{leaf}": shape for _, prefix, leaves, _, _ in layers(cfg)
+            for leaf, shape in leaves.items()}
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     """Instantiate every parameter of the configured model by
-    ``aggregators.init_param``, in ``table_shapes`` order from one seeded
-    generator, so identical (config, seed) pairs give bit-identical tables.
-    Each aggregator draws from its own generator seeded by the main one.
+    ``aggregators.init_param``, walking ``layers`` in table order from one
+    seeded generator, so identical (config, seed) pairs give bit-identical
+    tables. Each aggregator draws from its own generator seeded by the main
+    one.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    agg_prefix = None
-    for name, shape in table_shapes(cfg).items():
-        prefix, _, leaf = name.rpartition(".")
-        if prefix.endswith(".agg") and prefix != agg_prefix:
-            agg_prefix, agg_rng = prefix, np.random.default_rng(int(rng.integers(2 ** 63)))
-        params[name] = agg.init_param(leaf, shape, agg_rng if prefix == agg_prefix else rng,
-                                      dtype)
+    for row, prefix, leaves, _, _ in layers(cfg):
+        draw = np.random.default_rng(int(rng.integers(2 ** 63))) if row.endswith(".agg") else rng
+        for leaf, shape in leaves.items():
+            params[f"{prefix}.{leaf}"] = agg.init_param(leaf, shape, draw, dtype)
     return Model(config=cfg, params=params, dtype=np.dtype(dtype))
 
 

@@ -201,10 +201,12 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> tuple[float, float]:
     """Top-1 accuracy and mean cross-entropy over a dataset split.
 
-    Raises ValueError when it is empty, a label lies outside [0, classes),
-    or ``batch_size`` is below 1.
+    Raises ValueError when it is empty, the image and label counts differ,
+    a label lies outside [0, classes), or ``batch_size`` is below 1.
     """
     labels = np.asarray(labels)
+    if len(images) != len(labels):
+        raise ValueError(f"{len(images)} images but {len(labels)} labels")
     _check_split(labels, model.config.classes, "evaluated")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

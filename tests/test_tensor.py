@@ -411,6 +411,17 @@ class TestFiniteDifference:
             model_gradcheck(preset("toy-desk"), samples_per_leaf=samples)
 
 
+    @pytest.mark.parametrize("resolution", [0, -4])
+    def test_model_gradcheck_rejects_non_positive_resolution(self, resolution, monkeypatch):
+        # 0 ended in the model's ShapeError and -4 in numpy's "negative dimensions"
+        from winmix import gradcheck
+        from winmix.model import preset
+
+        monkeypatch.setattr(gradcheck, "build_model", None)
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            gradcheck.model_gradcheck(preset("toy-desk"), resolution=resolution)
+
+
 OPS = [
     ("matmul", lambda rng: (rng.standard_normal((3, 4)), rng.standard_normal((4, 2))),
      lambda a, b: T.tsum(T.gelu(T.matmul(a, b)))),

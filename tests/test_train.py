@@ -246,6 +246,16 @@ class TestEvaluate:
             evaluate(model, np.zeros((8, 8, 8, 3), np.float32), np.zeros(8, np.int64),
                      batch_size=batch_size)
 
+    @pytest.mark.parametrize("n_images, n_labels", [(8, 4), (4, 8)])
+    def test_count_mismatch_rejected(self, n_images, n_labels, monkeypatch):
+        # 8 images with 4 labels ended in a numpy broadcast error; 4 with 8
+        # at batch_size 4 silently scored the first 4 labels only
+        monkeypatch.setattr(importlib.import_module("winmix.train"), "forward", None)
+        model = build_model(CFG, seed=0)
+        with pytest.raises(ValueError, match=f"{n_images} images but {n_labels} labels"):
+            evaluate(model, np.zeros((n_images, 8, 8, 3), np.float32),
+                     np.zeros(n_labels, np.int64), batch_size=4)
+
     def test_batch_size_invariance(self, small_data):
         model = build_model(CFG, seed=2)
         accs, losses = zip(*[
