@@ -410,7 +410,6 @@ class TestFiniteDifference:
         with pytest.raises(ValueError, match="samples_per_leaf must be >= 1"):
             model_gradcheck(preset("toy-desk"), samples_per_leaf=samples)
 
-
     @pytest.mark.parametrize("resolution", [0, -4])
     def test_model_gradcheck_rejects_non_positive_resolution(self, resolution, monkeypatch):
         # 0 ended in the model's ShapeError and -4 in numpy's "negative dimensions"
