@@ -14,7 +14,8 @@ Connectivity propagates boolean token-influence masks through the block
 sequence on a fixed token grid, using each aggregator's intra-window pattern
 (axial cross for the linear/MLP family, full window for attention; both are
 exact) and the exact communication permutations, traced through the model's
-own geometry ops; padded positions start every block empty. The masks live
+own geometry ops, with each block laid out by ``model.block_layout`` as in the
+forward pass; padded positions start every block empty. The masks live
 on the window grid, so a block costs ``any`` reductions over the window
 axes, O(N * M) boolean work for N tokens and M sources, rather than a dense
 (N, N) product; the 56x56 stage-0 grid of a 224 px image is feasible. Stage
@@ -33,13 +34,10 @@ from . import tensor as T
 from .model import (
     Model,
     ModelConfig,
-    choose_messenger_region,
-    comm_active,
+    block_layout,
     comm_permutation,
     forward,
     layers,
-    stage_channels,
-    stage_has_comm,
     table_shapes,
 )
 from .tensor import Tensor
@@ -221,7 +219,7 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
         raise ValueError(f"a {grid_h}x{grid_w} grid needs {need:,} bytes of masks, "
                          f"over the {MASK_BUDGET:,}-byte budget")
     ws = cfg.window
-    gh, gw = -(-grid_h // ws), -(-grid_w // ws)
+    _, gh, gw, _, _ = block_layout(cfg, 0, 0, grid_h, grid_w)  # alike in every block
     hp, wp = gh * ws, gw * ws
     n = hp * wp
     real = (np.arange(n) // wp < grid_h) & (np.arange(n) % wp < grid_w)
@@ -237,20 +235,17 @@ def connectivity(cfg: ModelConfig, grid_h: int, grid_w: int) -> ConnectivityRepo
     report = ConnectivityReport(grid=(grid_h, grid_w))
     block_no = 0
     for s in range(4):
-        msg: np.ndarray | None = None
-        if cfg.comm == "MSG" and stage_has_comm(cfg, s):
-            msg = np.zeros((gh * gw, m), dtype=bool)
-            region = choose_messenger_region(gh, gw, stage_channels(cfg, s))
+        msg: np.ndarray | None = None  # the stage's messengers, from its first MSG block
         for i in range(cfg.depths[s]):
             block_no += 1
-            active = comm_active(cfg, i)
-            moved = active and perm is not None
+            comm, _, _, region, _ = block_layout(cfg, s, i, grid_h, grid_w)
+            moved = comm in ("Shift", "Shuffle")
             if moved:
                 r = r[perm]
             v = r.reshape(gh, ws, gw, ws, m)
-            if active and msg is not None:
-                msg = _region_union(msg | v.any(axis=(1, 3)).reshape(gh * gw, m),
-                                    gh, gw, region)
+            if comm == "MSG":
+                seen = v.any(axis=(1, 3)).reshape(gh * gw, m)
+                msg = _region_union(seen if msg is None else msg | seen, gh, gw, region)
                 v = v | msg.reshape(gh, 1, gw, 1, m)
             if cfg.aggregator == "MHSA":
                 v = v | v.any(axis=(1, 3), keepdims=True)  # a writable full-size array

@@ -8,7 +8,9 @@ A model is a declarative ``ModelConfig`` plus a flat named-parameter table;
         -> reverse -> [comm-out] -> crop -> norm -> per-token FFN -> +residual
 
 where the cross-window communication (cyclic shift, spatial shuffle, or
-messenger exchange) runs on odd-indexed blocks of each stage only. The second
+messenger exchange) runs on odd-indexed blocks of each stage only.
+``block_layout`` decides each block's comm, window grid and messenger region;
+a stage's messengers start from ``msg_init`` at its first MSG block. The second
 norm and the FFN act per token, so they run on the cropped map, not on padding.
 When the padded map is a single window, the aggregator computes its outputs
 only at the real tokens, which the comm's traced permutation places, and
@@ -50,7 +52,7 @@ __all__ = [
     "stage_channels",
     "stage_groups",
     "stage_heads",
-    "comm_active",
+    "block_layout",
     "save_model",
     "load_model",
 ]
@@ -141,15 +143,6 @@ def stage_heads(cfg: ModelConfig, stage: int) -> int:
     return _largest_divisor_leq(c, max(1, c // cfg.heads_divisor))
 
 
-def comm_active(cfg: ModelConfig, block_index: int) -> bool:
-    """Cross-window communication runs on odd-indexed blocks of a stage."""
-    return cfg.comm != "None" and block_index % 2 == 1
-
-
-def stage_has_comm(cfg: ModelConfig, stage: int) -> bool:
-    return any(comm_active(cfg, i) for i in range(cfg.depths[stage]))
-
-
 # -- presets ------------------------------------------------------------------
 
 PRESETS: dict[str, ModelConfig] = {
@@ -225,7 +218,9 @@ def layers(cfg: ModelConfig, resolution: tuple[int, int] = (1, 1)):
     for s in range(4):
         c = stage_channels(cfg, s)
         hidden, gs = FFN_RATIO * c, stage_groups(cfg, s)[1]
-        windows = -(-h // ws) * -(-w // ws)
+        comms = [block_layout(cfg, s, i, h, w)[0] for i in range(cfg.depths[s])]
+        _, gh, gw, _, _ = block_layout(cfg, s, 0, h, w)
+        windows = gh * gw
         rows, cols = (h, w) if windows == 1 else (ws, ws)
         norm = _norm(c)
         mixer = agg.param_shapes(cfg.aggregator, c, ws, gs, stage_heads(cfg, s))
@@ -233,18 +228,18 @@ def layers(cfg: ModelConfig, resolution: tuple[int, int] = (1, 1)):
         norm_n, mixer_n, ffn_n = _size(norm), _size(mixer), _size(ffn)
         mixer_macs = windows * agg.window_macs(cfg.aggregator, c, ws, gs, rows, cols)
         ffn_macs = 2 * hidden * c * h * w
-        if cfg.comm == "MSG" and stage_has_comm(cfg, s):
+        if "MSG" in comms:
             msg = {"w": (c, c), "b": (c,)}
             msg_n, msg_macs = _size(msg), c * c * windows
             yield _layer(f"stage{s}.msg_init", {"msg_init": (1, c)}, 0, f"stage{s}")
-        for i in range(cfg.depths[s]):
+        for i, comm in enumerate(comms):
             block = f"stage{s}.block{i}"
             norms, mixer_row, ffn_row = block + ".norms", block + ".agg", block + ".ffn"
             yield norms, block + ".norm1", norm, norm_n, 0
             yield mixer_row, mixer_row, mixer, mixer_n, mixer_macs
             yield norms, block + ".norm2", norm, norm_n, 0
             yield ffn_row, ffn_row, ffn, ffn_n, ffn_macs
-            if cfg.comm == "MSG" and comm_active(cfg, i):
+            if comm == "MSG":
                 for part in ("collect", "distribute"):
                     yield block + ".msg", f"{block}.msg.{part}", msg, msg_n, msg_macs
         if s < 3:
@@ -318,25 +313,6 @@ def patch_merge(model: Model, x: FeatureMap, stage: int) -> FeatureMap:
     return FeatureMap(v)
 
 
-def choose_messenger_region(gh: int, gw: int, c: int) -> int:
-    """Largest region side <= 2 that tiles the window grid and whose area
-    divides the channel count (1 disables the exchange)."""
-    for r in range(min(2, gh, gw), 0, -1):
-        if gh % r == 0 and gw % r == 0 and c % (r * r) == 0:
-            return r
-    return 1
-
-
-def _init_messengers(model: Model, stage: int, x: FeatureMap) -> Tensor | None:
-    """The stage's (windows, 1, C) messenger tokens, or None without MSG."""
-    cfg = model.config
-    if cfg.comm != "MSG" or not stage_has_comm(cfg, stage):
-        return None
-    windows = x.batch * -(-x.height // cfg.window) * -(-x.width // cfg.window)
-    init = model.params[f"stage{stage}.msg_init"]
-    return T.broadcast_to(T.reshape(init, (1, 1, x.channels)), (windows, 1, x.channels))
-
-
 def _ffn(model: Model, prefix: str, x: Tensor) -> Tensor:
     h = T.linear(x, model.params[f"{prefix}.ffn.w1"], model.params[f"{prefix}.ffn.b1"])
     return T.linear(T.gelu(h), model.params[f"{prefix}.ffn.w2"], model.params[f"{prefix}.ffn.b2"])
@@ -357,40 +333,59 @@ def comm_permutation(comm: str, hp: int, wp: int, ws: int) -> np.ndarray:
     return geo.trace_permutation(hp, wp, lambda fm: _comm_in(comm, ws, fm))
 
 
-@functools.cache
-def _real_positions(comm: str, h: int, w: int, ws: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the window positions that an h x w map padded to one
-    ws x ws window puts its tokens at, after ``comm``; in crop order.
+def block_layout(cfg: ModelConfig, stage: int, index: int, h: int, w: int):
+    """The one place that lays out block ``index`` of ``stage`` on an h x w
+    map: ``(comm, gh, gw, region, keep)``.
 
-    The comm permutes each axis on its own, so the positions are the product
-    rows x cols. A permutation moves each token to its own position, so rows
-    and cols are each distinct, in [0, ws), as ``aggregate``'s ``keep`` needs.
-    Cached, as tracing costs 17-44 us a call on a 2-core x86 VM (about 2% of
-    a batch-1 toy-desk forward at 32 px); the arrays are read-only.
+    ``comm`` is ``cfg.comm`` on odd blocks and "None" on even ones. The map
+    pads to a gh x gw window grid. ``region`` is the side of an MSG block's
+    messenger exchange, the largest r <= 2 that tiles the grid and whose
+    area divides the stage's channels, and 1 (no exchange) elsewhere. When
+    the map pads to one window that it does not fill, ``keep`` = (rows,
+    cols) is where its tokens land after the comm, in crop order: a comm
+    permutes each axis on its own, so rows and cols are each distinct, in
+    [0, ws), as ``aggregate``'s ``keep`` needs. Otherwise ``keep`` is None.
     """
-    where = np.argsort(comm_permutation(comm, ws, ws, ws)).reshape(ws, ws)[:h, :w]
-    rows, cols = where[:, 0] // ws, where[0] % ws
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    return _layout(cfg.comm if index % 2 else "None", cfg.window, stage_channels(cfg, stage), h, w)
+
+
+# keyed on what decides a layout, so the cache grows with layouts, not configs;
+# tracing ``keep`` costs 17-44 us on a 2-core x86 VM, about 2% of a batch-1
+# toy-desk forward at 32 px, and the cached arrays are read-only
+@functools.lru_cache(maxsize=1024)
+def _layout(comm: str, ws: int, c: int, h: int, w: int):
+    gh, gw = -(-h // ws), -(-w // ws)
+    region = 1
+    if comm == "MSG":
+        region = next(r for r in (2, 1) if gh % r == gw % r == c % (r * r) == 0)
+    keep = None
+    if gh == gw == 1 and (h, w) != (ws, ws):
+        where = np.argsort(comm_permutation(comm, ws, ws, ws)).reshape(ws, ws)[:h, :w]
+        keep = where[:, 0] // ws, where[0] % ws
+        keep[0].flags.writeable = keep[1].flags.writeable = False
+    return comm, gh, gw, region, keep
 
 
 def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
                   msg: Tensor | None = None) -> tuple[FeatureMap, Tensor | None]:
-    """One mixing block; returns the new map and the threaded messenger tokens."""
+    """One mixing block, laid out by ``block_layout``; returns the new map and
+    the messenger tokens to thread into the stage's next block. The first
+    MSG block of a stage, given ``msg=None``, starts them from ``msg_init``."""
     cfg = model.config
     ws = cfg.window
     prefix = f"stage{stage}.block{index}"
-    comm = cfg.comm if comm_active(cfg, index) else "None"
+    comm, gh, gw, region, keep = block_layout(cfg, stage, index, x.height, x.width)
 
     fm = _comm_in(comm, ws, geo.pad_to_multiple(x, ws))
     win = geo.window_partition(fm, ws)
 
-    if comm == "MSG" and msg is not None:
+    if comm == "MSG":
+        if msg is None:
+            init = T.reshape(model.params[f"stage{stage}.msg_init"], (1, 1, x.channels))
+            msg = T.broadcast_to(init, (win.shape[0], 1, x.channels))
         pooled = T.tmean(win, axis=1)
         upd = T.linear(pooled, model.params[f"{prefix}.msg.collect.w"],
                        model.params[f"{prefix}.msg.collect.b"])
-        gh, gw = fm.height // ws, fm.width // ws
-        region = choose_messenger_region(gh, gw, x.channels)
         msg = msg + T.reshape(upd, (upd.shape[0], 1, upd.shape[1]))
         msg = geo.messenger_exchange(msg, gh, gw, region)
         dist = T.linear(T.tmean(msg, axis=1),
@@ -401,9 +396,8 @@ def block_forward(model: Model, x: FeatureMap, stage: int, index: int,
     normed = T.layer_norm(win, model.params[f"{prefix}.norm1.g"],
                           model.params[f"{prefix}.norm1.b"])
     params = _agg_params(model, prefix)
-    if fm.height == fm.width == ws and (x.height, x.width) != (ws, ws):
+    if keep is not None:
         # one padded window: compute only the real tokens, straight in crop order
-        keep = _real_positions(comm, x.height, x.width, ws)
         v = (T.index_select(win, agg.kept_positions(keep, ws), axis=1, unique=True)
              + agg.aggregate(cfg.aggregator, normed, params, keep))
         v = T.reshape(v, x.values.shape)
@@ -425,7 +419,7 @@ def forward(model: Model, images: Tensor) -> Tensor:
     fm = patch_embed(model, images)
     cfg = model.config
     for s in range(4):
-        msg = _init_messengers(model, s, fm)
+        msg = None
         for i in range(cfg.depths[s]):
             fm, msg = block_forward(model, fm, s, i, msg)
         if s < 3:

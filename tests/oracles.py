@@ -206,7 +206,7 @@ def block_forward_windowed_ffn(model, x, stage, index, msg=None):
 
     cfg, ws, p = model.config, model.config.window, model.params
     prefix = f"stage{stage}.block{index}"
-    active = M.comm_active(cfg, index)
+    active = cfg.comm != "None" and index % 2 == 1
     shift = ws // 2
 
     fm = geo.pad_to_multiple(x, ws)
@@ -215,11 +215,14 @@ def block_forward_windowed_ffn(model, x, stage, index, msg=None):
     elif active and cfg.comm == "Shuffle":
         fm = geo.spatial_shuffle(fm, ws)
     win = geo.window_partition(fm, ws)
-    if active and cfg.comm == "MSG" and msg is not None:
+    if active and cfg.comm == "MSG":
+        if msg is None:
+            msg = T.broadcast_to(T.reshape(p[f"stage{stage}.msg_init"], (1, 1, x.channels)),
+                                 (win.shape[0], 1, x.channels))
         upd = T.linear(T.tmean(win, axis=1), p[f"{prefix}.msg.collect.w"],
                        p[f"{prefix}.msg.collect.b"])
         gh, gw = fm.height // ws, fm.width // ws
-        region = M.choose_messenger_region(gh, gw, x.channels)
+        region = 2 if gh % 2 == gw % 2 == x.channels % 4 == 0 else 1
         msg = msg + T.reshape(upd, (upd.shape[0], 1, upd.shape[1]))
         msg = geo.messenger_exchange(msg, gh, gw, region)
         dist = T.linear(T.tmean(msg, axis=1), p[f"{prefix}.msg.distribute.w"],

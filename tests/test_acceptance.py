@@ -151,13 +151,14 @@ def _right_half_change(model, images: np.ndarray, perturbed: np.ndarray) -> floa
     """Largest change in the pre-pool features of the right-half tokens
     between two image batches (the final token grid is split at its middle
     column). Exactly 0.0 means no path reaches them from where the batches
-    differ: identical inputs give bit-identical outputs. Messengers are not
-    run, so the model must not use comm="MSG"."""
+    differ: identical inputs give bit-identical outputs. Each stage threads
+    its messengers from ``msg=None``, as ``forward`` does, so any comm works."""
     def prepool(x):
         fm = M.patch_embed(model, Tensor(x))
         for s in range(4):
+            msg = None
             for i in range(model.config.depths[s]):
-                fm, _ = M.block_forward(model, fm, s, i)
+                fm, msg = M.block_forward(model, fm, s, i, msg)
             if s < 3:
                 fm = M.patch_merge(model, fm, s)
         return fm.values.numpy()

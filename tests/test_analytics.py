@@ -63,17 +63,17 @@ def dense_connectivity(cfg: ModelConfig, grid_h: int, grid_w: int):
     }
     layers, first_full, block_no = [], None, 0
     for s in range(4):
-        msg = None
-        if cfg.comm == "MSG" and M.stage_has_comm(cfg, s):
-            msg = np.zeros((gh * gw, real_idx.size), dtype=bool)
-            region = M.choose_messenger_region(gh, gw, M.stage_channels(cfg, s))
+        # messengers start empty each stage; the exchange region is the
+        # largest side <= 2 tiling the window grid whose area divides C
+        msg = np.zeros((gh * gw, real_idx.size), dtype=bool)
+        region = 2 if gh % 2 == gw % 2 == (cfg.width << s) % 4 == 0 else 1
         for i in range(cfg.depths[s]):
             block_no += 1
-            active = M.comm_active(cfg, i)
+            active = cfg.comm != "None" and i % 2 == 1
             perm = perms.get(cfg.comm) if active else None
             if perm is not None:
                 r = r[perm]
-            if active and msg is not None:
+            if active and cfg.comm == "MSG":
                 msg = msg | (win_rows @ r.astype(np.uint8) > 0)
                 msg = AN._region_union(msg, gh, gw, region)
                 r = r | msg[wid]
@@ -104,7 +104,7 @@ def probe_connectivity(model, grid_h: int, grid_w: int, rng) -> list[np.ndarray]
 
     def run(vals):
         fm = FeatureMap(Tensor(vals, dtype=np.float64))
-        msg, outs = M._init_messengers(model, 0, fm), []
+        msg, outs = None, []
         with T.no_grad():
             for i in range(model.config.depths[0]):
                 fm, msg = M.block_forward(model, fm, 0, i, msg)
@@ -395,8 +395,7 @@ class TestConnectivity:
         for seed in range(48):
             cfg, grid_h, grid_w = dense_oracle_case(seed)
             if cfg.comm == "MSG":
-                gh, gw = -(-grid_h // cfg.window), -(-grid_w // cfg.window)
-                regions.add(M.choose_messenger_region(gh, gw, cfg.width))
+                regions.add(M.block_layout(cfg, 0, 1, grid_h, grid_w)[3])
         assert regions == {1, 2}
 
     @pytest.mark.parametrize("seed", range(48))

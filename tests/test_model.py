@@ -261,10 +261,15 @@ class TestBlocksAndForward:
     @pytest.mark.parametrize("ws", [2, 3, 4, 7])
     def test_real_positions_are_distinct_window_positions(self, comm, ws):
         # the single-window gathers assign their gradients, which needs
-        # distinct rows and distinct cols, each in [0, ws)
+        # distinct rows and distinct cols, each in [0, ws); a map that fills
+        # its one window keeps no positions
+        cfg = dataclasses.replace(TINY, window=ws, comm=comm)
+        assert M.block_layout(cfg, 0, 1, ws, ws)[4] is None
         for h in range(1, ws + 1):
             for w in range(1, ws + 1):
-                rows, cols = M._real_positions(comm, h, w, ws)
+                if (h, w) == (ws, ws):
+                    continue
+                rows, cols = M.block_layout(cfg, 0, 1, h, w)[4]
                 assert (len(set(rows.tolist())), len(set(cols.tolist()))) == (h, w) \
                     == (len(rows), len(cols))
                 assert 0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < ws
@@ -285,10 +290,28 @@ class TestBlocksAndForward:
             fm, _ = M.block_forward(m, fm, stage=0, index=i)
         np.testing.assert_allclose(fm.values.numpy(), vals.numpy(), atol=1e-6)
 
+    @pytest.mark.parametrize("comm", M.COMM_KINDS)
+    @pytest.mark.parametrize("hw", [(32, 32), (37, 29)])
+    def test_bare_block_stack_reproduces_forward(self, comm, hw):
+        # the public pieces are the whole model: each stage threads its
+        # messengers from msg=None, and the head is a norm, a mean and a linear
+        m = build_model(dataclasses.replace(preset("toy-desk"), comm=comm), seed=0)
+        images = rand_images(np.random.default_rng(22), 2, *hw)
+        fm = M.patch_embed(m, images)
+        for s in range(4):
+            msg = None
+            for i in range(m.config.depths[s]):
+                fm, msg = M.block_forward(m, fm, s, i, msg)
+            if s < 3:
+                fm = M.patch_merge(m, fm, s)
+        v = T.layer_norm(fm.values, m.params["head.norm.g"], m.params["head.norm.b"])
+        logits = T.linear(T.tmean(v, axis=(1, 2)), m.params["head.w"], m.params["head.b"])
+        np.testing.assert_array_equal(logits.numpy(), forward(m, images).numpy())
+
     def test_even_blocks_do_not_shift(self):
-        assert not M.comm_active(TINY, 0)
-        assert M.comm_active(TINY, 1)
-        assert not M.comm_active(dataclasses.replace(TINY, comm="None"), 1)
+        assert M.block_layout(TINY, 0, 0, 8, 8)[0] == "None"
+        assert M.block_layout(TINY, 0, 1, 8, 8)[0] == "Shift"
+        assert M.block_layout(dataclasses.replace(TINY, comm="None"), 0, 1, 8, 8)[0] == "None"
 
     def test_block_matches_composition_of_parts(self):
         # a block must equal the hand-composed pipeline of tested pieces
@@ -339,7 +362,7 @@ class TestBlocksAndForward:
             params = {k: Tensor(a, requires_grad=True) for k, a in table.items()}
             model = M.Model(cfg, params, np.dtype(np.float64))
             x = Tensor(vals, requires_grad=True)
-            fm, msg = FeatureMap(x), M._init_messengers(model, 0, FeatureMap(x))
+            fm, msg = FeatureMap(x), None
             for i in range(2):
                 fm, msg = block(model, fm, 0, i, msg)
             loss = T.tsum(fm.values * Tensor(probe))
@@ -435,7 +458,7 @@ def _numpy_reference_forward(m, img):
         gs = M.stage_groups(cfg, s)[1]
         for blk in range(cfg.depths[s]):
             pre = f"stage{s}.block{blk}"
-            active = M.comm_active(cfg, blk)
+            active = cfg.comm != "None" and blk % 2 == 1
             h, w = x.shape[1], x.shape[2]
             ph, pw = -h % ws, -w % ws
             xp = np.pad(x, [(0, 0), (0, ph), (0, pw), (0, 0)])
