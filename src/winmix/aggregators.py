@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+from types import MappingProxyType
 
 import numpy as np
 from scipy import special as _sp
@@ -51,12 +52,15 @@ AGGREGATOR_KINDS = ("Linear", "DWLinear", "MLP", "MHSA")
 MLP_RATIO = 4  # the MLP map's hidden width over its gs*ws input
 
 
+@functools.lru_cache(maxsize=256)
 def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
-                 rho: int = MLP_RATIO) -> dict[str, tuple[int, ...]]:
+                 rho: int = MLP_RATIO) -> MappingProxyType[str, tuple[int, ...]]:
     """Ordered name -> shape of one aggregation layer's parameters.
 
     The order is both the init draw order and the checkpoint record order;
-    ``init_param`` gives each name its initial value.
+    ``init_param`` gives each name its initial value. The mapping is cached
+    and read-only: every block forward reads a kind's names, and
+    ``model.layers`` a stage's shapes.
     """
     if kind not in AGGREGATOR_KINDS:
         raise ValueError(f"unknown aggregator kind {kind!r}; expected one of {AGGREGATOR_KINDS}")
@@ -66,7 +70,7 @@ def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
         shapes = {}
         for t in "qkvo":
             shapes |= {f"w_{t}": (c, c), f"b_{t}": (c,)}
-        return shapes | {"rel_bias": (heads, (2 * ws - 1) ** 2)}
+        return MappingProxyType(shapes | {"rel_bias": (heads, (2 * ws - 1) ** 2)})
     g = _check_groups(c, gs)
     k = gs * ws
     shapes = {}
@@ -77,7 +81,7 @@ def param_shapes(kind: str, c: int, ws: int, gs: int = 1, heads: int = 1,
         else:
             lead = (g,) if kind == "DWLinear" else ()
             shapes |= {f"w_{axis}": (*lead, k, k), f"b_{axis}": (*lead, k)}
-    return shapes | {"w_p": (c, c), "b_p": (c,)}
+    return MappingProxyType(shapes | {"w_p": (c, c), "b_p": (c,)})
 
 
 def window_macs(kind: str, c: int, ws: int, gs: int, rows: int, cols: int) -> int:
@@ -277,7 +281,7 @@ def aggregate(kind: str, windows: Tensor, params: dict[str, Tensor],
     single-window stage, whose padded outputs it would crop.
     """
     names = param_shapes(kind, 1, 1)  # a kind's names do not depend on sizes
-    if set(params) != set(names):
+    if params.keys() != names.keys():
         raise ValueError(f"aggregator {kind!r} takes parameters {sorted(names)}, "
                          f"got {sorted(params)}")
     if kind == "MHSA":
