@@ -188,8 +188,11 @@ def _adamw_step(state: TrainState, sets: list[tuple], lr: float) -> None:
         p -= update
 
 
-def _check_split(labels: np.ndarray, classes: int, split: str) -> None:
-    """Raise ValueError naming an empty split or its first label outside [0, classes)."""
+def _check_split(images: np.ndarray, labels: np.ndarray, classes: int, split: str) -> None:
+    """Raise ValueError naming a split whose image and label counts differ,
+    an empty split, or its first label outside [0, classes)."""
+    if len(images) != len(labels):
+        raise ValueError(f"{split} split has {len(images)} images but {len(labels)} labels")
     if labels.size == 0:
         raise ValueError(f"{split} split is empty")
     bad = labels[(labels < 0) | (labels >= classes)]
@@ -205,9 +208,7 @@ def evaluate(model: Model, images: np.ndarray, labels: np.ndarray,
     a label lies outside [0, classes), or ``batch_size`` is below 1.
     """
     labels = np.asarray(labels)
-    if len(images) != len(labels):
-        raise ValueError(f"{len(images)} images but {len(labels)} labels")
-    _check_split(labels, model.config.classes, "evaluated")
+    _check_split(images, labels, model.config.classes, "evaluated")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = images.shape[0]
@@ -235,16 +236,16 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
     warmup/cosine shape depends on hp.steps, not on where you pause). A
     non-finite loss aborts with DivergenceError after writing the last-good
     checkpoint (when out_dir is given). An empty training or validation
-    split, or a label outside [0, classes), raises ValueError before the
-    first step.
+    split, one whose image and label counts differ, or a label outside
+    [0, classes), raises ValueError before the first step.
 
     The table is updated in place: ``state.model.params``, ``state.m`` and
     ``state.v`` (of the given state, or of a new one) hold views into flat
     buffers from the first step on, and each step writes the new values
     into them.
     """
-    _check_split(data.train_labels, cfg.classes, "training")
-    _check_split(data.val_labels, cfg.classes, "validation")
+    _check_split(data.train_images, data.train_labels, cfg.classes, "training")
+    _check_split(data.val_images, data.val_labels, cfg.classes, "validation")
     if state is None:
         model = build_model(cfg, seed=seed)
         rng = np.random.Generator(np.random.PCG64(seed + 1))

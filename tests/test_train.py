@@ -173,6 +173,26 @@ class TestTraining:
             train(CFG, data, Hyperparams(steps=2), seed=0, out_dir=tmp_path)
         assert not (tmp_path / "last_good.wmix").exists()
 
+    @pytest.mark.parametrize("split, n_images, n_labels",
+                             [("training", 8, 4), ("validation", 4, 8)])
+    def test_count_mismatch_rejected_before_step_1(self, small_data, split, n_images,
+                                                   n_labels, monkeypatch):
+        # 8 training images with 4 labels died in the first batch with an
+        # IndexError; 4 validation images with 8 labels trained up to the
+        # first eval before evaluate raised
+        prefix = "train" if split == "training" else "val"
+        data = dataclasses.replace(small_data, **{
+            f"{prefix}_images": getattr(small_data, f"{prefix}_images")[:n_images],
+            f"{prefix}_labels": getattr(small_data, f"{prefix}_labels")[:n_labels]})
+
+        def no_steps(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(importlib.import_module("winmix.train"), "forward", no_steps)
+        with pytest.raises(ValueError,
+                           match=f"{split} split has {n_images} images but {n_labels} labels"):
+            train(CFG, data, Hyperparams(steps=2, batch_size=4, eval_every=2), seed=0)
+
     def test_lr_zero_keeps_parameters(self, small_data):
         hp = Hyperparams(lr=0.0, steps=5, eval_every=5)
         before = {k: t.numpy().copy() for k, t in build_model(CFG, seed=0).params.items()}
