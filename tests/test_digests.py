@@ -47,11 +47,16 @@ REL = 1e-3  # off-platform bound, relative to the largest float64 entry
 
 
 def platform_fingerprint() -> dict:
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas.get('version')}",
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        blas = "unknown"
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas,
             "cpu": sorted(k for k, on in __cpu_features__.items() if on)}
 
 
