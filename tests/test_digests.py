@@ -289,7 +289,8 @@ def _check(case: str, got: list[np.ndarray], off_platform) -> None:
         assert _digest(got) == DIGESTS[case], f"{case}: output bits changed"
         return
     here = platform_fingerprint()
-    warnings.warn(f"platform differs from the recorded one in {[k for k in here if here[k] != PLATFORM[k]]}; "
+    differs = [k for k in here if here[k] != PLATFORM[k]]
+    warnings.warn(f"platform differs from the recorded one in {differs}; "
                   f"outputs are compared with float64 runs within rel {REL}")
     _assert_close(case, *off_platform())
 
@@ -323,7 +324,8 @@ def test_paper_logits_224(name):
 def test_save_state_after_6_steps(agg, comm):
     # off the recorded platform, the trained model's logits stand in for its bytes
     run, images = _trained(agg, comm), _data().val_images
-    _check(f"toy-desk {agg}/{comm} save_state after 6 steps", [np.frombuffer(run["full"], np.uint8)],
+    _check(f"toy-desk {agg}/{comm} save_state after 6 steps",
+           [np.frombuffer(run["full"], np.uint8)],
            lambda: ([_logits(run["model"], images)], [_logits(_as_float64(run["model"]), images)]))
 
 
@@ -333,8 +335,10 @@ def test_resume_at_step_3_writes_the_same_bytes(agg, comm):
     assert run["resumed"] == run["full"], f"toy-desk {agg}/{comm}: resume at step 3 differs"
 
 
-@pytest.mark.parametrize("agg,comm,hw", [("Linear", "MSG", (37, 29)), ("MHSA", "Shift", (32, 32)),
-                                         ("MLP", "Shuffle", (37, 29)), ("DWLinear", "None", (32, 32))])
+@pytest.mark.parametrize("agg,comm,hw", [("Linear", "MSG", (37, 29)),
+                                         ("MHSA", "Shift", (32, 32)),
+                                         ("MLP", "Shuffle", (37, 29)),
+                                         ("DWLinear", "None", (32, 32))])
 def test_off_platform_bound_holds_here(agg, comm, hw):
     # the comparison that replaces the digests elsewhere must pass where
     # the digests pass, or it would fail on any other platform
