@@ -103,9 +103,9 @@ class SyntheticDataset:
 
     def save_wdat(self, train_path, val_path) -> None:
         save_wdat(train_path, np.clip(self.train_images * 255.0, 0, 255).round().astype(np.uint8),
-                  self.train_labels.astype(np.uint16))
+                  self.train_labels)
         save_wdat(val_path, np.clip(self.val_images * 255.0, 0, 255).round().astype(np.uint8),
-                  self.val_labels.astype(np.uint16))
+                  self.val_labels)
 
 
 def _balanced_labels(n: int, classes: int) -> np.ndarray:

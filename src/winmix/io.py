@@ -133,76 +133,86 @@ def save_checkpoint(path, config: dict, tensors: dict[str, np.ndarray]) -> None:
     _write_atomic(path, chunks())
 
 
+class _Reader:
+    """A file's bytes after its magic, read front to back by ``take``, which
+    raises CheckpointError naming what was cut and its byte offset."""
+
+    def __init__(self, path, magic: bytes):
+        self.path, self.raw, self.off = path, Path(path).read_bytes(), len(magic)
+        if self.raw[:len(magic)] != magic:
+            raise CheckpointError(f"{path}: not a {magic.decode()} file")
+
+    def left(self) -> int:
+        return len(self.raw) - self.off
+
+    def take(self, n: int, what: str) -> bytes:
+        if n > self.left():
+            raise CheckpointError(f"{self.path}: truncated {what} at byte {self.off} "
+                                  f"(needs {n}, file has {len(self.raw)})")
+        self.off += n
+        return self.raw[self.off - n:self.off]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a WMIX file back into (config dict, ordered name -> array).
 
     A truncated or garbled header, config blob or tensor record, or a second
-    record of one name, raises CheckpointError. A file cut exactly on a
-    record boundary still parses, as a file with fewer records; v1 has no
-    checksum to tell the two apart, so callers that know what to expect
-    check it (``load_model`` checks the records against the config's
-    ``table_shapes``, ``load_state`` the moment names).
+    record of one name, raises CheckpointError naming the byte offset. A
+    file cut exactly on a record boundary still parses, as a file with
+    fewer records; v1 has no checksum to tell the two apart, so
+    ``load_model`` and ``load_state`` check the records against the
+    config's ``table_shapes``.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != _WMIX_MAGIC:
-        raise CheckpointError(f"{path}: not a WMIX file")
-    if len(raw) < 12:
-        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes)")
-    version, json_len = struct.unpack_from("<II", raw, 4)
+    r = _Reader(path, _WMIX_MAGIC)
+    version, json_len = r.unpack("<II", "header")
     if version != _WMIX_VERSION:
         raise CheckpointError(f"{path}: unsupported WMIX version {version}")
-
-    def need(off: int, n: int, what: str) -> None:
-        if off + n > len(raw):
-            raise CheckpointError(f"{path}: truncated {what} at byte {off} "
-                                  f"(needs {n}, file has {len(raw)})")
-
-    off = 12
-    need(off, json_len, "config blob")
+    blob = r.take(json_len, "config blob")
     try:
-        config = json.loads(raw[off:off + json_len].decode("utf-8"))
+        config = json.loads(blob.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise CheckpointError(f"{path}: unreadable config blob: {exc}") from None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config blob is not a JSON object")
-    off += json_len
     tensors: dict[str, np.ndarray] = {}
-    while off < len(raw):
-        need(off, 4, "record header")
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        need(off, name_len + 2, "record header")
+    while r.left():
+        start = r.off
+        (name_len,) = r.unpack("<I", "record header")
+        head = r.take(name_len + 2, "record header")
         try:
-            name = raw[off:off + name_len].decode("utf-8")
+            name = head[:name_len].decode("utf-8")
         except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: garbled tensor name at byte {off}") from None
+            raise CheckpointError(f"{path}: garbled tensor name at byte {start + 4}") from None
         if name in tensors:
-            raise CheckpointError(f"{path}: duplicate tensor record {name!r} at byte {off - 4}")
-        off += name_len
-        code, rank = struct.unpack_from("<BB", raw, off)
-        off += 2
+            raise CheckpointError(f"{path}: duplicate tensor record {name!r} at byte {start}")
+        code, rank = head[name_len:]
         if code not in _CODE_DTYPES:
             raise CheckpointError(f"{path}: bad dtype code {code} for tensor {name!r}")
-        need(off, 8 * rank, f"dims of tensor {name!r}")
-        dims = struct.unpack_from(f"<{rank}Q", raw, off)
-        off += 8 * rank
+        dims = r.unpack(f"<{rank}Q", f"dims of tensor {name!r}")
         dtype = _CODE_DTYPES[code]
-        nbytes = math.prod(dims) * dtype.itemsize
-        need(off, nbytes, f"data of tensor {name!r}")
-        arr = np.frombuffer(raw[off:off + nbytes], dtype=dtype.newbyteorder("<")).astype(dtype)
-        off += nbytes
-        tensors[name] = arr.reshape(dims)
+        data = r.take(math.prod(dims) * dtype.itemsize, f"data of tensor {name!r}")
+        tensors[name] = np.frombuffer(data, dtype.newbyteorder("<")).astype(dtype).reshape(dims)
     return config, tensors
 
 
 def save_wdat(path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Write a WDAT dataset: u8 images (N, H, W, C) with u16 labels (N,)."""
+    """Write a WDAT dataset: u8 images (N, H, W, C) with u16 labels (N,).
+    Other image dtypes and labels outside [0, 65535], which the file's fields
+    would cast without a word, raise CheckpointError before any write."""
     if images.ndim != 4:
         raise CheckpointError(f"images must be (N, H, W, C), got {images.shape}")
+    if images.dtype != np.uint8:
+        raise CheckpointError(f"images must be uint8, got {images.dtype}")
     n, h, w, c = images.shape
     if labels.shape != (n,):
         raise CheckpointError(f"labels shape {labels.shape} != ({n},)")
-    px = np.ascontiguousarray(images, dtype=np.uint8)
+    bad = labels[(labels < 0) | (labels > 0xFFFF)]
+    if bad.size:
+        raise CheckpointError(f"label {bad[0]} outside the u16 range [0, 65535]")
+    px = np.ascontiguousarray(images)
     lb = np.ascontiguousarray(labels, dtype="<u2")
     _write_atomic(path, [_WDAT_MAGIC, struct.pack("<IHHH", n, h, w, c), px.tobytes(), lb.tobytes()])
 
@@ -213,23 +223,11 @@ def load_wdat(path) -> tuple[np.ndarray, np.ndarray]:
     A short header, a truncated block or bytes after the labels raise
     CheckpointError.
     """
-    raw = Path(path).read_bytes()
-    if raw[:4] != _WDAT_MAGIC:
-        raise CheckpointError(f"{path}: not a WDAT file")
-    if len(raw) < 14:
-        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes)")
-    n, h, w, c = struct.unpack_from("<IHHH", raw, 4)
-    off = 4 + 10
-    npx = n * h * w * c
-    px = np.frombuffer(raw[off:off + npx], dtype=np.uint8)
-    if px.size != npx:
-        raise CheckpointError(f"{path}: truncated pixel block")
-    off += npx
-    if len(raw) < off + 2 * n:
-        raise CheckpointError(f"{path}: truncated label block")
-    if len(raw) > off + 2 * n:
-        raise CheckpointError(f"{path}: {len(raw) - off - 2 * n} trailing bytes after "
-                              f"the label block")
-    lb = np.frombuffer(raw[off:off + 2 * n], dtype="<u2")
+    r = _Reader(path, _WDAT_MAGIC)
+    n, h, w, c = r.unpack("<IHHH", "header")
+    px = np.frombuffer(r.take(n * h * w * c, "pixel block"), dtype=np.uint8)
+    lb = np.frombuffer(r.take(2 * n, "label block"), dtype="<u2")
+    if r.left():
+        raise CheckpointError(f"{path}: {r.left()} trailing bytes after the label block")
     images = (px.reshape(n, h, w, c).astype(np.float32)) / 255.0
     return images, lb.astype(np.int64)

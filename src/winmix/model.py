@@ -431,6 +431,9 @@ def forward(model: Model, images: Tensor) -> Tensor:
 
 # -- persistence --------------------------------------------------------------
 
+# record-name prefixes of a training file's AdamW moments m and v
+_MOMENT_PREFIXES = ("opt.m.", "opt.v.")
+
 
 def save_model(path, model: Model) -> None:
     """Write a WMIX file holding the config and the parameter table."""
@@ -441,11 +444,12 @@ def save_model(path, model: Model) -> None:
 def load_model(path) -> Model:
     """Read the model of any WMIX file, a ``save_model`` or a training one.
 
-    Training checkpoints also hold optimizer moments (``opt.*`` records);
-    they are skipped. Other JSON keys (``train``, ``extra``) are ignored.
-    A parameter record that is missing, unknown or of the wrong shape for
-    ``table_shapes`` of the config, such as in a file cut on a record
-    boundary, raises CheckpointError naming the file and the record.
+    The config's ``table_shapes`` decide the records the file must hold:
+    its parameters and, in a training file (one whose blob has ``train``),
+    both optimizer moment sets, ``opt.m.*`` and ``opt.v.*``. A missing, unknown
+    or reshaped record, such as in a file cut on a record boundary, raises
+    CheckpointError naming the file and the record. Moments are checked but
+    not returned; other ``opt.*`` records and JSON keys are ignored.
     """
     return _model_from_checkpoint(path, *load_checkpoint(path))
 
@@ -457,12 +461,15 @@ def _model_from_checkpoint(path, blob: dict, tensors: dict[str, np.ndarray]) -> 
         cfg = ModelConfig.from_dict(blob["model"])
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items()
-              if not k.startswith("opt.")}
-    expected, got = table_shapes(cfg), {k: v.shape for k, v in params.items()}
+    shapes = table_shapes(cfg)
+    moments = _MOMENT_PREFIXES if "train" in blob else ()
+    expected = {p + k: s for p in ("", *moments) for k, s in shapes.items()}
+    got = {k: v.shape for k, v in tensors.items()
+           if not k.startswith("opt.") or k.startswith(moments)}
     for name in [*expected, *got]:
         if got.get(name) != expected.get(name):
             raise CheckpointError(f"{path}: record {name!r}: the file has "
                                   f"{got.get(name, 'none')}, the config needs "
                                   f"{expected.get(name, 'none')}")
+    params = {k: Tensor(v, requires_grad=True) for k, v in tensors.items() if k in shapes}
     return Model(config=cfg, params=params, dtype=next(iter(params.values())).data.dtype)

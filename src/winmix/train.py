@@ -24,7 +24,8 @@ import numpy as np
 from . import tensor as T
 from .data import SyntheticDataset
 from .io import CheckpointError, _fits, dataclass_from_dict, load_checkpoint, save_checkpoint
-from .model import Model, ModelConfig, _model_from_checkpoint, build_model, forward
+from .model import (_MOMENT_PREFIXES, Model, ModelConfig, _model_from_checkpoint, build_model,
+                    forward)
 from .tensor import NumericError, Tensor
 
 __all__ = [
@@ -299,13 +300,8 @@ def train(cfg: ModelConfig, data: SyntheticDataset, hp: Hyperparams,
         done = state.step >= hp.steps
         if state.step % hp.eval_every == 0 or done:
             acc, vloss = evaluate(state.model, data.val_images, data.val_labels)
-            state.evals.append({
-                "step": state.step,
-                "lr": lr_at(hp, state.step),
-                "train_loss": state.step_losses[-1],
-                "val_acc": acc,
-                "val_loss": vloss,
-            })
+            state.evals.append(dict(zip(_EVAL_KEYS, (
+                state.step, lr_at(hp, state.step), state.step_losses[-1], acc, vloss))))
             if hp.target_accuracy is not None and acc >= hp.target_accuracy:
                 break
         if checkpoint_every and state.step % checkpoint_every == 0 and out_path is not None:
@@ -335,10 +331,8 @@ def save_state(path, state: TrainState) -> None:
         },
     }
     tensors = {k: t.data for k, t in state.model.params.items()}
-    for k, arr in state.m.items():
-        tensors[f"opt.m.{k}"] = arr
-    for k, arr in state.v.items():
-        tensors[f"opt.v.{k}"] = arr
+    for prefix, moments in zip(_MOMENT_PREFIXES, (state.m, state.v)):
+        tensors.update({prefix + k: a for k, a in moments.items()})
     save_checkpoint(path, blob, tensors)
 
 
@@ -349,7 +343,7 @@ _TRAIN_BLOB = {"step": int, "seed": int, "hp": dict, "rng_state": dict,
                "rng_state.state.state": str, "rng_state.state.inc": str,
                "rng_state.has_uint32": int, "rng_state.uinteger": int,
                "step_losses": list[float], "evals": list[dict]}
-# numeric keys of each ``evals`` entry
+# the numbers of each ``evals`` entry, in the order ``train`` records them
 _EVAL_KEYS = ("step", "lr", "train_loss", "val_acc", "val_loss")
 
 
@@ -357,11 +351,12 @@ def load_state(path) -> TrainState:
     """Read a ``save_state`` checkpoint back; raises CheckpointError when the
     file holds no training state, a ``train`` key (down to the ``rng_state``
     fields and each eval's numbers) is missing or has the wrong JSON type,
-    its ``hp`` or ``rng_state`` values are invalid, its table mixes float32
-    and float64 records, or its moments do not match its parameters in name,
-    shape or dtype (the parameters were checked against ``table_shapes``).
-    ``train`` updates one flat buffer per dtype, so it cannot take a mixed
-    table or moments of another dtype."""
+    its ``step`` is negative, its ``hp`` or ``rng_state`` values are invalid,
+    a parameter or moment record is missing, unknown or reshaped (the one
+    record check of ``load_model``), or a record's dtype is not the table's
+    first record's. ``train`` copies each moment into its parameter's flat
+    buffer, which would cast a moment of another dtype without a word;
+    ``save_state`` never writes one, nor a table that mixes dtypes."""
     blob, tensors = load_checkpoint(path)
     model = _model_from_checkpoint(path, blob, tensors)
     if "train" not in blob:
@@ -381,6 +376,8 @@ def load_state(path) -> TrainState:
         bad = [k for k in _EVAL_KEYS if not _fits(ev.get(k), float)]
         if bad:
             raise CheckpointError(f"{path}: train state 'evals' entry {i} needs numeric {bad}")
+    if tr["step"] < 0:
+        raise CheckpointError(f"{path}: train state 'step' must be >= 0, got {tr['step']}")
     try:
         hp = Hyperparams.from_dict(tr["hp"])
     except ValueError as exc:
@@ -390,22 +387,13 @@ def load_state(path) -> TrainState:
         np.random.PCG64().state = rng_state
     except (ValueError, TypeError, OverflowError) as exc:
         raise CheckpointError(f"{path}: train state 'rng_state': {exc}") from None
-    m = {k[len("opt.m."):]: a for k, a in tensors.items() if k.startswith("opt.m.")}
-    v = {k[len("opt.v."):]: a for k, a in tensors.items() if k.startswith("opt.v.")}
-    if set(m) != set(model.params) or set(v) != set(model.params):
-        raise CheckpointError(f"{path}: optimizer moments do not match the parameters")
-    for k, t in model.params.items():
-        if t.dtype != model.dtype:
-            raise CheckpointError(f"{path}: record {k!r} is {t.dtype}, the table's first "
-                                  f"record is {model.dtype}; a trained table has one dtype")
-    for kind, moments in (("m", m), ("v", v)):
-        for k, a in moments.items():
-            if a.shape != model.params[k].shape:
-                raise CheckpointError(f"{path}: optimizer moment 'opt.{kind}.{k}' has shape "
-                                      f"{a.shape}, the parameter needs {model.params[k].shape}")
-            if a.dtype != model.dtype:
-                raise CheckpointError(f"{path}: optimizer moment 'opt.{kind}.{k}' is "
-                                      f"{a.dtype}, the parameter is {model.dtype}")
+    for name in (p + k for p in ("", *_MOMENT_PREFIXES) for k in model.params):
+        if tensors[name].dtype != model.dtype:
+            raise CheckpointError(f"{path}: record {name!r} is {tensors[name].dtype}, the "
+                                  f"table's first record is {model.dtype}; a trained table "
+                                  f"has one dtype")
+    m, v = ({k[len(p):]: a for k, a in tensors.items() if k.startswith(p)}
+            for p in _MOMENT_PREFIXES)
     return TrainState(
         model=model,
         m=m,

@@ -3,6 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winmix import data
 from winmix.data import (
@@ -236,6 +238,28 @@ class TestWdat:
         assert path.read_bytes() == good
         assert [p.name for p in tmp_path.iterdir()] == ["d.wdat"]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16, np.int64])
+    def test_images_other_than_uint8_rejected_before_writing(self, tmp_path, dtype):
+        # float images in load_wdat's [0, 1] form used to be written as 0 or 1
+        images = np.full((2, 4, 4, 3), 0.5, dtype=dtype)
+        with pytest.raises(CheckpointError, match=f"images must be uint8, got {np.dtype(dtype)}"):
+            save_wdat(tmp_path / "d.wdat", images, np.zeros(2, dtype=np.uint16))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [-1, 65536, 70000])
+    def test_label_outside_u16_rejected_before_writing(self, tmp_path, bad):
+        # -1 and 70000 used to come back as 65535 and 4464
+        labels = np.array([0, bad, 1])
+        with pytest.raises(CheckpointError, match=f"label {bad} outside"):
+            save_wdat(tmp_path / "d.wdat", np.zeros((3, 4, 4, 3), dtype=np.uint8), labels)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dataset_labels_checked_uncast(self, tmp_path):
+        ds = gen_dataset(DatasetSpec(n_train=16, n_val=8))
+        ds.val_labels[2] = 70000
+        with pytest.raises(CheckpointError, match="label 70000 outside"):
+            ds.save_wdat(tmp_path / "train.wdat", tmp_path / "val.wdat")
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "d.wdat"
         save_wdat(path, np.zeros((2, 4, 4, 3), dtype=np.uint8),
@@ -243,6 +267,19 @@ class TestWdat:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(CheckpointError):
             load_wdat(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 3), st.data())
+    def test_every_strict_prefix_rejected(self, tmp_path_factory, n, h, w, c, data):
+        path = tmp_path_factory.mktemp("cut") / "d.wdat"
+        save_wdat(path, np.zeros((n, h, w, c), dtype=np.uint8), np.zeros(n, dtype=np.uint16))
+        raw = path.read_bytes()
+        boundaries = [0, 4, 14, 14 + n * h * w * c]  # magic, header, pixels, labels
+        drawn = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        for cut in sorted({b for b in boundaries if b < len(raw)} | {drawn}):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                load_wdat(path)
 
     @pytest.mark.parametrize("size", [4, 7, 13])
     def test_short_header_rejected(self, tmp_path, size):

@@ -109,7 +109,8 @@ class TestLinear:
     def test_float32_overflow_raises(self):
         x = Tensor(np.full((2, 4), 1e20, dtype=np.float32))
         w = Tensor(np.full((3, 4), 1e20, dtype=np.float32))
-        with pytest.raises(NumericError, match="linear"):
+        with pytest.raises(NumericError, match="linear"), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             T.linear(x, w)
 
 
@@ -224,7 +225,7 @@ class TestTranspose:
 class TestFiniteChecks:
     def test_nan_surfaces_as_error(self):
         big = Tensor(np.array([1e38], dtype=np.float32))
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="overflow"):
             T.mul(big, big)  # overflows float32 to inf
 
     def test_log_softmax_is_stable(self):

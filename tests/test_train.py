@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from winmix.aggregators import AGGREGATOR_KINDS
 from winmix.analytics import count_params
@@ -216,7 +218,8 @@ class TestTraining:
 
     def test_divergence_aborts_with_checkpoint(self, small_data, tmp_path):
         hp = Hyperparams(lr=1e18, steps=50, eval_every=50, warmup_frac=0.0)
-        with pytest.raises(DivergenceError) as info:
+        with pytest.raises(DivergenceError) as info, \
+                pytest.warns(RuntimeWarning, match="overflow"):
             train(CFG, small_data, hp, seed=0, out_dir=tmp_path)
         assert info.value.checkpoint is not None
         restored = load_state(info.value.checkpoint)
@@ -477,6 +480,13 @@ def _layout(raw: bytes) -> tuple[int, list[int]]:
     return json_end, ends
 
 
+def _assert_cut_rejected(prefix: bytes, path) -> None:
+    path.write_bytes(prefix)
+    for load in (load_state, load_model):
+        with pytest.raises(CheckpointError):
+            load(path)
+
+
 class TestCheckpointFiles:
     def test_training_checkpoint_loads_as_model(self, toy_checkpoint):
         state, path = toy_checkpoint
@@ -488,21 +498,25 @@ class TestCheckpointFiles:
         assert model.param_count() == count_params(model.config).total_params == 282_148
 
     def test_truncation_raises_checkpoint_error(self, toy_checkpoint, tmp_path):
+        # a cut on a record boundary parses; the config's records reject it,
+        # also in load_model, as a training file's moments are records too
         raw = toy_checkpoint[1].read_bytes()
         json_end, ends = _layout(raw)
-        # parameter records come first; a cut after the last one keeps the model
-        whole_model = ends[len(toy_checkpoint[0].model.params) - 1:]
         rng = np.random.default_rng(0)
         cuts = set(range(json_end + 16)) | {e + d for e in ends for d in (-1, 0, 1)}
         cuts |= set(rng.integers(json_end, len(raw), 64).tolist())
-        cut = tmp_path / "cut.wmix"
         for n in sorted(c for c in cuts if c < len(raw)):
-            cut.write_bytes(raw[:n])
-            with pytest.raises(CheckpointError):
-                load_state(cut)
-            if n not in whole_model:
-                with pytest.raises(CheckpointError):
-                    load_model(cut)
+            _assert_cut_rejected(raw[:n], tmp_path / "cut.wmix")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_drawn_cut_raises_checkpoint_error(self, toy_checkpoint, data):
+        raw = toy_checkpoint[1].read_bytes()
+        json_end, ends = _layout(raw)
+        boundary = st.sampled_from([json_end, *ends[:-1]])
+        in_header = boundary.flatmap(lambda b: st.integers(b, min(b + 24, len(raw) - 1)))
+        n = data.draw(st.integers(0, len(raw) - 1) | boundary | in_header, label="cut")
+        _assert_cut_rejected(raw[:n], toy_checkpoint[1].with_name("drawn.wmix"))
 
     def test_garbled_headers_raise_checkpoint_error(self, toy_checkpoint, tmp_path):
         raw = toy_checkpoint[1].read_bytes()
@@ -534,7 +548,8 @@ class TestCheckpointFiles:
         state = toy_checkpoint[0]
         short = dataclasses.replace(state, v=dict(list(state.v.items())[1:]))
         save_state(tmp_path / "short.wmix", short)
-        with pytest.raises(CheckpointError, match="moments"):
+        with pytest.raises(CheckpointError, match=r"short\.wmix: record 'opt\.v\.stem\.proj\.w': "
+                           r"the file has none, the config needs \(16, 48\)"):
             load_state(tmp_path / "short.wmix")
 
     def test_transposed_moment_names_file_and_record(self, toy_checkpoint, tmp_path):
@@ -542,8 +557,9 @@ class TestCheckpointFiles:
         m = dict(state.m)
         m["stage0.block0.ffn.w1"] = m["stage0.block0.ffn.w1"].T  # (64, 16) -> (16, 64)
         save_state(tmp_path / "transposed.wmix", dataclasses.replace(state, m=m))
-        with pytest.raises(CheckpointError, match=r"transposed\.wmix: optimizer moment "
-                           r"'opt\.m\.stage0\.block0\.ffn\.w1' has shape \(16, 64\)"):
+        with pytest.raises(CheckpointError, match=r"transposed\.wmix: record "
+                           r"'opt\.m\.stage0\.block0\.ffn\.w1': the file has \(16, 64\), "
+                           r"the config needs \(64, 16\)"):
             load_state(tmp_path / "transposed.wmix")
 
     def test_square_moment_swapped_with_another_record(self, toy_checkpoint, tmp_path):
@@ -552,8 +568,9 @@ class TestCheckpointFiles:
         a, b = "stage0.block0.agg.w_h", "stage0.block0.agg.w_p"  # (4, 4) and (16, 16)
         v[a], v[b] = v[b], v[a]
         save_state(tmp_path / "swapped.wmix", dataclasses.replace(state, v=v))
-        with pytest.raises(CheckpointError, match=r"'opt\.v\.stage0\.block0\.agg\.w_h' "
-                           r"has shape \(16, 16\), the parameter needs \(4, 4\)"):
+        with pytest.raises(CheckpointError, match=r"swapped\.wmix: record "
+                           r"'opt\.v\.stage0\.block0\.agg\.w_h': the file has \(16, 16\), "
+                           r"the config needs \(4, 4\)"):
             load_state(tmp_path / "swapped.wmix")
 
     def test_moment_of_another_dtype_names_file_and_record(self, toy_checkpoint, tmp_path):
@@ -562,8 +579,8 @@ class TestCheckpointFiles:
         blob, tensors = load_checkpoint(toy_checkpoint[1])
         tensors["opt.v.head.w"] = tensors["opt.v.head.w"].astype(np.float64)
         save_checkpoint(tmp_path / "wide.wmix", blob, tensors)
-        with pytest.raises(CheckpointError, match=r"wide\.wmix: optimizer moment "
-                           r"'opt\.v\.head\.w' is float64, the parameter is float32"):
+        with pytest.raises(CheckpointError, match=r"wide\.wmix: record 'opt\.v\.head\.w' is "
+                           r"float64, the table's first record is float32"):
             load_state(tmp_path / "wide.wmix")
 
     def test_mixed_dtype_table_names_file_and_record(self, toy_checkpoint, tmp_path):
@@ -607,6 +624,7 @@ TRAIN_BLOB_DEFECTS = {
     "train a list": (lambda tr: list(tr), "must be a JSON object, got list"),
     "step_losses an int": (_with("step_losses", 3), "'step_losses' must be list"),
     "step a string": (_with("step", "1"), "'step' must be int, got str"),
+    "step negative": (_with("step", -3), "'step' must be >= 0, got -3$"),
     "seed a string": (_with("seed", "0"), "'seed' must be int, got str"),
     "evals a string": (_with("evals", "x"), "'evals' must be list"),
     "rng_state empty": (_with("rng_state", {}),
