@@ -305,6 +305,7 @@ def bench_throughput(model: Model, batch: int = 8, repeats: int = 5,
     q1, med, q3 = np.percentile(rates, [25, 50, 75])
     return {
         "schema_version": SCHEMA_VERSION,
+        "gelu_workers": T.WORKERS,
         "batch": batch,
         "repeats": int(repeats),
         "resolution": list(hw),

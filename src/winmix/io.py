@@ -200,8 +200,9 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def save_wdat(path, images: np.ndarray, labels: np.ndarray) -> None:
     """Write a WDAT dataset: u8 images (N, H, W, C) with u16 labels (N,).
-    Other image dtypes and labels outside [0, 65535], which the file's fields
-    would cast without a word, raise CheckpointError before any write."""
+    Other image dtypes, labels of a non-integer dtype (float, bool) and labels
+    outside [0, 65535], which the file's fields would cast without a word,
+    raise CheckpointError before any write."""
     if images.ndim != 4:
         raise CheckpointError(f"images must be (N, H, W, C), got {images.shape}")
     if images.dtype != np.uint8:
@@ -209,6 +210,8 @@ def save_wdat(path, images: np.ndarray, labels: np.ndarray) -> None:
     n, h, w, c = images.shape
     if labels.shape != (n,):
         raise CheckpointError(f"labels shape {labels.shape} != ({n},)")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise CheckpointError(f"labels must be integers, got {labels.dtype}")
     bad = labels[(labels < 0) | (labels > 0xFFFF)]
     if bad.size:
         raise CheckpointError(f"label {bad[0]} outside the u16 range [0, 65535]")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -216,6 +217,15 @@ class TestTrainEvalBench:
                                "--batch", "2", "--repeats", "2", "--res", "16")
         assert code == 0
         assert json.loads(out)["images_per_second"] > 0
+
+    def test_bench_records_the_gelu_workers(self, capsys, tmp_path):
+        save_model(tmp_path / "m.wmix", build_model(preset("toy-desk"), seed=0))
+        code, out, _ = run_cli(capsys, "bench", "--ckpt", str(tmp_path / "m.wmix"),
+                               "--res", "16", "--batch", "1", "--repeats", "1")
+        assert code == 0
+        blob = json.loads(out)
+        assert list(blob)[:2] == ["schema_version", "gelu_workers"]
+        assert blob["gelu_workers"] == len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--batch", "-2"),
                                             ("--repeats", "0")])

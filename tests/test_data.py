@@ -254,6 +254,17 @@ class TestWdat:
             save_wdat(tmp_path / "d.wdat", np.zeros((3, 4, 4, 3), dtype=np.uint8), labels)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("labels", [
+        np.array([0.0, 1.5, 2.9]),  # used to be written as [0, 1, 2]
+        np.array([0.0, np.nan, 1.0]),  # NaN passed the range check
+        np.array([True, False, True]),
+        np.array([0, 1, 2], dtype=np.float32),
+    ], ids=["fractional", "nan", "bool", "whole-float"])
+    def test_non_integer_labels_rejected_before_writing(self, tmp_path, labels):
+        with pytest.raises(CheckpointError, match=f"labels must be integers, got {labels.dtype}"):
+            save_wdat(tmp_path / "d.wdat", np.zeros((3, 4, 4, 3), dtype=np.uint8), labels)
+        assert list(tmp_path.iterdir()) == []
+
     def test_dataset_labels_checked_uncast(self, tmp_path):
         ds = gen_dataset(DatasetSpec(n_train=16, n_val=8))
         ds.val_labels[2] = 70000

@@ -1,3 +1,13 @@
+import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -320,6 +330,148 @@ class TestBitIdenticalToComposedFormulas:
         out, (dbig,) = _pull_back(lambda t: T.crop_hw(t, 3, 5), [big], g[:, :3, :5])
         _same_bits(out, big[:, :3, :5])
         _same_bits(dbig, pad_hw_np(g[:, :3, :5], ph, pw))
+
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """``gelu`` splits in three whatever the machine, on a two-thread pool of
+    the test's own whose threads are named ``split-test``."""
+    monkeypatch.setattr(T, "WORKERS", 3)
+    monkeypatch.setattr(T, "_pool", ThreadPoolExecutor(2, thread_name_prefix="split-test"))
+    yield
+    T._pool.shutdown()
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("split-test")]
+
+
+# 36,491 elements: three chunks of at least _MIN_CHUNK, and neither 2 nor 3 divides it
+SPLIT_SHAPE = (7, 13, 401)
+
+
+class TestSplitGelu:
+    """Above the floor, gelu's forward runs in chunks on a thread pool and
+    must give the bytes of one whole-array call."""
+
+    def _pull_back_both(self, x, g, monkeypatch):
+        split = _pull_back(T.gelu, [x], g)
+        assert _pool_threads()  # the split path ran
+        monkeypatch.setattr(T, "WORKERS", 1)
+        whole = _pull_back(T.gelu, [x], g)
+        monkeypatch.setattr(T, "WORKERS", 3)
+        return split, whole
+
+    @DTYPES
+    def test_grad_mode_matches_oracles_and_one_worker(self, three_workers, monkeypatch, dtype):
+        assert math.prod(SPLIT_SHAPE) >= 3 * T._MIN_CHUNK
+        rng = np.random.default_rng(28)
+        x = (rng.standard_normal(SPLIT_SHAPE) * 3).astype(dtype)
+        g = rng.standard_normal(SPLIT_SHAPE).astype(dtype)
+        (out, (dx,)), (out1, (dx1,)) = self._pull_back_both(x, g, monkeypatch)
+        _same_bits(out, gelu_ref(x).astype(dtype))
+        _same_bits(dx, gelu_grad_composed(x, g))
+        _same_bits(out, out1)
+        _same_bits(dx, dx1)
+
+    @DTYPES
+    def test_no_grad_matches_oracle_and_one_worker(self, three_workers, monkeypatch, dtype):
+        x = np.random.default_rng(29).standard_normal(SPLIT_SHAPE).astype(dtype)
+        with T.no_grad():
+            out = T.gelu(Tensor(x))
+            monkeypatch.setattr(T, "WORKERS", 1)
+            out1 = T.gelu(Tensor(x))
+        assert _pool_threads() and not out.requires_grad
+        _same_bits(out.numpy(), gelu_ref(x).astype(dtype))
+        _same_bits(out.numpy(), out1.numpy())
+
+    @DTYPES
+    def test_non_contiguous_input(self, three_workers, monkeypatch, dtype):
+        rng = np.random.default_rng(30)
+        base = rng.standard_normal((13, 7, 802)).astype(dtype)
+        x = base.transpose(1, 0, 2)[:, :, ::2]  # SPLIT_SHAPE, strided on every axis
+        assert x.shape == SPLIT_SHAPE and not x.flags.c_contiguous
+        g = rng.standard_normal(SPLIT_SHAPE).astype(dtype)
+        (out, (dx,)), (out1, (dx1,)) = self._pull_back_both(x, g, monkeypatch)
+        _same_bits(out, gelu_ref(x).astype(dtype))
+        _same_bits(dx, gelu_grad_composed(x, g))
+        _same_bits(out, out1)
+        _same_bits(dx, dx1)
+
+    def test_nan_in_last_chunk_raises_naming_gelu(self, three_workers):
+        x = np.zeros(SPLIT_SHAPE, dtype=np.float32)
+        x.reshape(-1)[-5] = np.nan
+        with pytest.raises(NumericError, match="'gelu'"):
+            T.gelu(Tensor(x))
+        assert _pool_threads()
+
+    def test_below_the_floor_starts_no_thread(self, three_workers):
+        T.gelu(Tensor(np.ones(2 * T._MIN_CHUNK - 1, dtype=np.float32)))
+        assert not _pool_threads()
+
+    def test_one_worker_starts_no_thread(self, three_workers, monkeypatch):
+        monkeypatch.setattr(T, "WORKERS", 1)
+        before = threading.active_count()
+        T.gelu(Tensor(np.ones(SPLIT_SHAPE, dtype=np.float32)))
+        assert not _pool_threads() and threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_single_cpu_affinity_starts_no_thread(self):
+        code = ("import os, threading\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "import numpy as np\n"
+                "from winmix import tensor as T\n"
+                "T.gelu(T.Tensor(np.ones(1 << 20, dtype=np.float32)))\n"
+                "assert T.WORKERS == 1, T.WORKERS\n"
+                "assert threading.active_count() == 1\n")
+        src = str(Path(T.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
+    def test_split_waits_for_every_chunk_after_an_error(self, three_workers):
+        done = []
+
+        def fn(lo, hi):
+            if lo == 0:
+                raise ValueError("first chunk")
+            time.sleep(0.05)
+            done.append(lo)
+
+        with pytest.raises(ValueError, match="first chunk"):
+            T._split(fn, 3 * T._MIN_CHUNK)
+        assert sorted(done) == [T._MIN_CHUNK, 2 * T._MIN_CHUNK]
+
+    def test_split_reraises_a_worker_error(self, three_workers):
+        def fn(lo, hi):
+            if hi == 3 * T._MIN_CHUNK:
+                raise ValueError("last chunk")
+
+        with pytest.raises(ValueError, match="last chunk"):
+            T._split(fn, 3 * T._MIN_CHUNK)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_splits_on_a_fresh_pool(self, three_workers):
+        x = np.random.default_rng(31).standard_normal(SPLIT_SHAPE).astype(np.float32)
+        want = gelu_ref(x).astype(np.float32).tobytes()
+        assert T.gelu(Tensor(x)).numpy().tobytes() == want and _pool_threads()
+        parent_pool = T._pool
+        pid = os.fork()
+        if pid == 0:  # child: the pool's threads did not survive the fork
+            code = 1
+            try:
+                fresh = T._pool is not parent_pool
+                code = int(not (fresh and T.gelu(Tensor(x)).numpy().tobytes() == want))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("child hung in its first split gelu")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 @settings(max_examples=60, deadline=None)
